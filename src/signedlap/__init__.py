@@ -18,11 +18,13 @@ from .perturb import (
     first_order_zero_eigenvalues,
     sensitive_pairs,
     theta_matrix,
+    verify_sensitive_pairs,
     verify_sensitivity,
 )
 from .reach import (
+    Condensation,
     ReachDecomposition,
-    canonical_permutation,
+    condensation,
     is_strongly_connected,
     permutation_matrix,
     reach_decomposition,

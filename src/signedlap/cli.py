@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input/parse error, 3 premise violation,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -15,8 +16,16 @@ import numpy as np
 
 from . import report
 from .errors import GraphFormatError, NumericsError, PremiseError
-from .graph import EdgePerturbation, SignedDigraph, laplacian, matrix_scale, parse_edge_list, superpose
-from .perturb import sensitive_pairs, verify_sensitivity
+from .graph import (
+    CANCEL_TOL,
+    EdgePerturbation,
+    SignedDigraph,
+    laplacian,
+    matrix_scale,
+    parse_edge_list,
+    superpose,
+)
+from .perturb import sensitive_pairs, verify_sensitive_pairs
 from .reach import reach_decomposition
 from .robustness import (
     EffectiveResistance,
@@ -78,17 +87,22 @@ def _cmd_delta_star(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitive(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.epsilon) and args.epsilon >= CANCEL_TOL):
+        raise ValueError(
+            f"--epsilon must be finite and at least {CANCEL_TOL:g}, got {args.epsilon}"
+        )
     g = _load_graph(args.graph)
     pairs = sensitive_pairs(g)
+    verified = verify_sensitive_pairs(g, [(p.u, p.v) for p in pairs], args.epsilon)
     payload = [
         {
             "u": p.u,
             "v": p.v,
             "class": p.kind,
             "theta_diag_sign": p.theta_sign,
-            "verified": verify_sensitivity(g, (p.u, p.v), args.epsilon),
+            "verified": ok,
         }
-        for p in pairs
+        for p, ok in zip(pairs, verified)
     ]
     _emit(report.dumps(payload), args.out)
     return EXIT_OK
@@ -160,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitive", help="pairs whose infinitesimal negative coupling destabilizes")
     add_common(p)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float, default=1e-4,
+                   help=f"magnitude of the test edge's negative weight, >= {CANCEL_TOL:g}")
     p.set_defaults(func=_cmd_sensitive)
 
     p = sub.add_parser("simulate", help="integrate x' = -Lx and judge consensus")

@@ -14,14 +14,16 @@ signs are invariant under any positive rescaling of the bases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import scipy.optimize
 
 from .errors import PremiseError
-from .graph import SignedDigraph, laplacian, matrix_scale, superpose
-from .reach import ReachDecomposition, reach_decomposition
+from .graph import CANCEL_TOL, SignedDigraph, laplacian
+from .reach import ReachDecomposition, condensation, reach_decomposition
 from .spectral import ZERO_TOL, NullBasis, eigenvalues
 
 CLASS_COND1 = "Cond1"
@@ -142,18 +144,68 @@ def sensitive_pairs(g1: SignedDigraph,
     return out
 
 
-def verify_sensitivity(g1: SignedDigraph, pair: tuple[int, int], eps: float = 1e-4) -> bool:
-    """Empirical check: does weight -eps on the pair produce Re(lambda) < 0?
+def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
+                           eps: float = 1e-4) -> list[bool]:
+    """Empirical check per pair: does weight -eps on (u, v) produce Re(lambda) < 0?
 
-    Real parts within the zero threshold are not counted, so a borderline
-    outcome reports False.
+    The answer is that of an eigensolve of the full perturbed Laplacian L'
+    (the base graph superposed with the edge, a cancelled edge dropped), with
+    real parts within ``ZERO_TOL * max(||L'||_inf, 1)`` of zero not counted,
+    so a borderline outcome reports False.
+
+    Ordered by the SCCs of g1, L' stays block triangular: the new edge
+    (u, v) merges comp(u) with every component on a path comp(v) ~> comp(u)
+    and leaves the other diagonal blocks of L1 as they were.  So L1's blocks
+    are solved once, each pair solves only its merged block, and pairs whose
+    merged block matrix is the same share that solve.  That happens when
+    comp(v) does not reach comp(u): the block is then comp(u) alone with only
+    its (u, u) entry moved, the same for every such v.
     """
-    u, v = pair
-    g2 = SignedDigraph(g1.n, {(u, v): -eps})
-    L = laplacian(superpose(g1, g2))
-    values = eigenvalues(L)
-    thr = ZERO_TOL * max(matrix_scale(L), 1.0)
-    return bool(np.any(values.real < -thr))
+    if not (math.isfinite(eps) and eps >= CANCEL_TOL):
+        raise ValueError(f"eps must be finite and at least {CANCEL_TOL:g}, got {eps}")
+    L = laplacian(g1)
+    cond = condensation(g1)
+    block_low = np.array([
+        eigenvalues(L[np.ix_(m, m)]).real.min()
+        for m in (np.flatnonzero(cond.labels == c) for c in range(cond.k))
+    ])
+    row_scale = np.abs(L).sum(axis=1)
+    memo: dict[tuple, float] = {}
+    out = []
+    for u, v in pairs:
+        if u == v or not (1 <= u <= g1.n and 1 <= v <= g1.n):
+            raise ValueError(f"pair ({u}, {v}) is not two distinct nodes of 1..{g1.n}")
+        i, j = u - 1, v - 1
+        w = g1.weight(u, v)
+        s = w - eps
+        if abs(s) < CANCEL_TOL:  # superpose drops a cancelled edge
+            s = 0.0
+        # only row u of the Laplacian changes: its diagonal and its (u, v) entry
+        row = L[i].copy()
+        row[i] += s - w
+        row[j] = -s
+        scales = row_scale.copy()
+        scales[i] = np.abs(row).sum()
+        thr = ZERO_TOL * max(scales.max(), 1.0)
+
+        cu, cv = cond.labels[i], cond.labels[j]
+        merged = cond.closure[cv] & cond.closure[:, cu]  # on a path comp(v) ~> comp(u)
+        merged[cu] = True
+        key = (i, merged.tobytes(), row[i], (j, row[j]) if merged[cv] else None)
+        low = memo.get(key)
+        if low is None:
+            nodes = np.flatnonzero(merged[cond.labels])
+            block = L[np.ix_(nodes, nodes)]
+            block[np.searchsorted(nodes, i)] = row[nodes]
+            low = memo[key] = eigenvalues(block).real.min()
+        rest = block_low[~merged].min(initial=np.inf)
+        out.append(bool(min(low, rest) < -thr))
+    return out
+
+
+def verify_sensitivity(g1: SignedDigraph, pair: tuple[int, int], eps: float = 1e-4) -> bool:
+    """One-pair form of ``verify_sensitive_pairs``."""
+    return verify_sensitive_pairs(g1, [pair], eps)[0]
 
 
 def match_predictions(predicted: np.ndarray, exact: np.ndarray) -> float:

@@ -3,8 +3,9 @@
 The reachable set of node ``i`` collects every node ``j`` that has a directed
 path ``j -> ... -> i`` along the stored (sensing) orientation, plus ``i``
 itself.  Equivalently, it is the set of nodes that node ``i`` influences,
-directly or through intermediaries; it is computed by a breadth-first walk
-from ``i`` over the reversed stored edges.
+directly or through intermediaries.  Both it and the reach sets below are
+read off one structure, the condensation of the graph into its strongly
+connected components (SCCs) with the component-reachability table.
 
 A reach set is a maximal reachable set.  For each reach ``R_k``:
 
@@ -19,8 +20,8 @@ ordering nodes as ``U_1, X_1\\U_1, U_2, ..., X_d\\U_d, C`` places all
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 
 import numpy as np
 
@@ -39,30 +40,65 @@ class ReachDecomposition:
     common: tuple[frozenset[int], ...]
     order: tuple[int, ...]  # node placed at block position k+1, 1-indexed ids
 
-    def reach_index_of(self, node: int) -> list[int]:
-        """Indices k (0-based) of the reaches containing ``node``."""
-        return [k for k, r in enumerate(self.reaches) if node in r]
+
+@dataclass(frozen=True)
+class Condensation:
+    """Strongly connected components and which component reaches which.
+
+    ``labels[i - 1]`` is the component of node ``i``; ``closure[a, b]`` is
+    True when a path of stored edges leads from component ``a`` to component
+    ``b`` (so ``b`` influences ``a``), and every component reaches itself.
+    Ordered by the components, the Laplacian is block triangular with the
+    components' diagonal blocks.
+    """
+
+    labels: np.ndarray  # shape (n,)
+    closure: np.ndarray  # shape (k, k), bool
+
+    @property
+    def k(self) -> int:
+        return self.closure.shape[0]
 
 
-def _reverse_adjacency(g: SignedDigraph, positive_only: bool) -> dict[int, list[int]]:
-    rev: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
-    for (i, j), w in g.edges.items():
-        if positive_only and w <= 0:
-            continue
-        rev[j].append(i)
-    return rev
+def _strong_components(
+    g: SignedDigraph, positive_only: bool
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """SCC count and labels, plus the kept edges as 0-based endpoint arrays."""
+    # imported here so the subcommands that never walk the graph skip scipy.sparse.csgraph
+    import scipy.sparse
+    from scipy.sparse.csgraph import connected_components
+
+    keys = [key for key, w in g.edges.items() if w > 0 or not positive_only]
+    rows = np.array([i for i, _ in keys], dtype=np.intp) - 1
+    cols = np.array([j for _, j in keys], dtype=np.intp) - 1
+    adjacency = scipy.sparse.csr_matrix((np.ones(len(keys)), (rows, cols)), shape=(g.n, g.n))
+    k, labels = connected_components(adjacency, directed=True, connection="strong")
+    return k, labels, rows, cols
 
 
-def _closure(rev: dict[int, list[int]], i: int) -> frozenset[int]:
-    seen = {i}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        for p in rev[u]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen)
+def condensation(g: SignedDigraph, positive_only: bool = False) -> Condensation:
+    """SCCs of the stored edges (Tarjan's condensation) and their reachability.
+
+    Edge existence is sign-agnostic by default; ``positive_only=True`` keeps
+    positive edges only.  The closure is built in one pass over the
+    components in reverse topological order, each row the union of its
+    successors' rows.
+    """
+    k, labels, rows, cols = _strong_components(g, positive_only)
+    succ: list[set[int]] = [set() for _ in range(k)]
+    for a, b in zip(labels[rows].tolist(), labels[cols].tolist()):
+        if a != b:
+            succ[a].add(b)
+    closure = np.eye(k, dtype=bool)
+    # successors are listed as predecessors, so every component comes after its successors
+    for c in TopologicalSorter(dict(enumerate(succ))).static_order():
+        for b in succ[c]:
+            closure[c] |= closure[b]
+    return Condensation(labels=labels, closure=closure)
+
+
+def _nodes(mask: np.ndarray) -> frozenset[int]:
+    return frozenset((np.flatnonzero(mask) + 1).tolist())
 
 
 def reachable_set(g: SignedDigraph, i: int, positive_only: bool = False) -> frozenset[int]:
@@ -73,36 +109,34 @@ def reachable_set(g: SignedDigraph, i: int, positive_only: bool = False) -> froz
     """
     if not (1 <= i <= g.n):
         raise ValueError(f"node {i} out of range 1..{g.n}")
-    return _closure(_reverse_adjacency(g, positive_only), i)
+    cond = condensation(g, positive_only)
+    return _nodes(cond.closure[cond.labels, cond.labels[i - 1]])
 
 
 def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachDecomposition:
     """Compute all reach sets and the derived U/X/C partition.
 
-    Reaches are ordered by their smallest member; the canonical order lists
-    each exclusive block with its reaching nodes first, then the union of the
+    Each sink component of the condensation (no stored edge leaves it) is a
+    reaching set U_k, and its reach R_k holds every node whose component
+    reaches that sink.  Reaches are ordered by their smallest member, ties
+    broken by the smallest reaching node; the canonical order lists each
+    exclusive block with its reaching nodes first, then the union of the
     common sets, ascending ids inside every group.
     """
-    rev = _reverse_adjacency(g, positive_only)
-    sets = {i: _closure(rev, i) for i in range(1, g.n + 1)}
-
-    distinct = set(sets.values())
-    reaches = sorted(
-        (r for r in distinct if not any(r < other for other in distinct)),
-        key=min,
+    cond = condensation(g, positive_only)
+    sinks = np.flatnonzero(cond.closure.sum(axis=1) == 1)
+    hits = cond.closure[np.ix_(cond.labels, sinks)]  # hits[i, k]: node i + 1 lies in R_k
+    shared = hits.sum(axis=1) > 1
+    sets = sorted(
+        (
+            (_nodes(hits[:, k]), _nodes(cond.labels == s),
+             _nodes(hits[:, k] & ~shared), _nodes(hits[:, k] & shared))
+            for k, s in enumerate(sinks)
+        ),
+        key=lambda t: (min(t[0]), min(t[1])),
     )
+    reaches, reaching, exclusive, common = zip(*sets)
     d = len(reaches)
-    reaching = [frozenset(i for i in range(1, g.n + 1) if sets[i] == r) for r in reaches]
-    exclusive = []
-    common = []
-    for k, r in enumerate(reaches):
-        others: set[int] = set()
-        for l, other in enumerate(reaches):
-            if l != k:
-                others |= other
-        x = frozenset(r - others)
-        exclusive.append(x)
-        common.append(frozenset(r - x))
 
     order: list[int] = []
     for k in range(d):
@@ -115,19 +149,14 @@ def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachD
 
     decomp = ReachDecomposition(
         d=d,
-        reaches=tuple(reaches),
-        reaching=tuple(reaching),
-        exclusive=tuple(exclusive),
-        common=tuple(common),
+        reaches=reaches,
+        reaching=reaching,
+        exclusive=exclusive,
+        common=common,
         order=tuple(order),
     )
     _validate(g, decomp, positive_only)
     return decomp
-
-
-def canonical_permutation(decomp: ReachDecomposition) -> tuple[int, ...]:
-    """Node order realizing the block-lower-triangular adjacency form."""
-    return decomp.order
 
 
 def permutation_matrix(decomp: ReachDecomposition) -> np.ndarray:
@@ -141,27 +170,7 @@ def permutation_matrix(decomp: ReachDecomposition) -> np.ndarray:
 
 def is_strongly_connected(g: SignedDigraph) -> bool:
     """Every node reachable from every other along stored edges (sign-agnostic)."""
-    if g.n == 1:
-        return True
-    fwd: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
-    rev: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
-    for (i, j) in g.edges:
-        fwd[i].append(j)
-        rev[j].append(i)
-
-    def closure(adj: dict[int, list[int]]) -> set[int]:
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for p in adj[u]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return seen
-
-    full = set(range(1, g.n + 1))
-    return closure(fwd) == full and closure(rev) == full
+    return _strong_components(g, positive_only=False)[0] == 1
 
 
 def _validate(g: SignedDigraph, decomp: ReachDecomposition, positive_only: bool) -> None:

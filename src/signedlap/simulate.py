@@ -6,11 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PremiseError
 from .graph import matrix_scale
 from .spectral import ZERO_TOL, eigenvalues
 
 #: states beyond this magnitude terminate the trace as diverged
 OVERFLOW_LIMIT = 1e150
+
+#: largest trace (state array plus time axis) a simulation may allocate, in bytes
+MAX_TRACE_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -42,23 +46,33 @@ def simulate(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> Simula
     The field is linear, so the four stage evaluations collapse into the
     one-step matrix I - hL + (hL)^2/2 - (hL)^3/6 + (hL)^4/24 applied per
     step.  dt must respect the stability guard dt <= 0.1 / ||L||; a state
-    overflow truncates the trace and sets the diverged flag.
+    overflow truncates the trace and sets the diverged flag.  A trace larger
+    than ``MAX_TRACE_BYTES`` is refused before anything is allocated.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     scale = matrix_scale(L)
     if scale > 0 and dt > 0.1 / scale:
         raise ValueError(f"dt={dt} violates the stability guard 0.1/||L|| = {0.1 / scale}")
-    if horizon < dt:
-        raise ValueError("horizon must be at least one step")
+    if not dt <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and at least one step, got {horizon}")
     x0 = np.asarray(x0, dtype=float)
     n = L.shape[0]
     if x0.shape != (n,):
         raise ValueError(f"x0 shape {x0.shape} does not match L ({n} nodes)")
 
+    # sized in floating point: horizon / dt may overflow to inf for a tiny dt
+    size = (horizon / dt + 1.0) * (n + 1) * np.dtype(float).itemsize
+    if size > MAX_TRACE_BYTES:
+        raise PremiseError(
+            f"{horizon / dt:.3g} steps of {n} states need {size / 2**30:.3g} GiB, above the "
+            f"{MAX_TRACE_BYTES / 2**30:g} GiB trace limit (MAX_TRACE_BYTES); "
+            f"raise dt or shorten the horizon"
+        )
+    steps = int(round(horizon / dt))
+
     hL = dt * L
     step = np.eye(n) - hL + hL @ hL / 2.0 - hL @ hL @ hL / 6.0 + hL @ hL @ hL @ hL / 24.0
-    steps = int(round(horizon / dt))
     states = np.empty((steps + 1, n))
     states[0] = x0
     x = x0.copy()

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,29 @@ def test_sensitive_single_reach_exit(capsys, tmp_path):
     ring.write_text("3\n1 2 1\n2 3 1\n3 1 1\n")
     code, _, _ = run(capsys, "sensitive", "--graph", str(ring))
     assert code == 3
+
+
+@pytest.mark.parametrize("eps", ["-1e-4", "0", "nan", "1e-13"])
+def test_sensitive_rejects_bad_epsilon(capsys, eps):
+    code, out, err = run(capsys, "sensitive", "--graph", str(DATA / "reach12.txt"),
+                         f"--epsilon={eps}")
+    assert code == 2 and out == ""
+    assert "--epsilon" in err
+    assert "edge" not in err
+
+
+def test_simulate_refuses_oversized_trace(capsys, tmp_path):
+    # default horizon 50/1e-6 at dt 0.005: 1e10 steps, hundreds of GB of states
+    path = tmp_path / "path3.txt"
+    path.write_text("3\n2 1 1\n3 2 1e-6\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--graph", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "MAX_TRACE_BYTES" in err and "GiB" in err
+    code, out, err = run(capsys, "simulate", "--graph", str(path), "--dt", "1e-310", "--horizon", "50")
+    assert code == 3 and out == ""
+    assert "MAX_TRACE_BYTES" in err
 
 
 def test_simulate_cli_consensus_flip(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
@@ -15,8 +17,10 @@ from signedlap import (
     sensitive_pairs,
     superpose,
     theta_matrix,
+    verify_sensitive_pairs,
     verify_sensitivity,
 )
+from signedlap.graph import CANCEL_TOL
 from signedlap.perturb import (
     CLASS_COND1,
     CLASS_COND2,
@@ -231,3 +235,89 @@ def test_large_negative_weights_flip_insensitive_pairs(reach12_uniform):
     values = eigenvalues(laplacian(g))
     thr = ZERO_TOL * max(matrix_scale(laplacian(g)), 1.0)
     assert np.sum(values.real < -thr) == 4
+
+
+def dense_verified(g1, u, v, eps):
+    """Oracle: dense eigensolves of the base Laplacian with -eps added on (u, v).
+
+    The spectrum is read off the diagonal blocks of the perturbed graph's own
+    SCCs, found here by boolean squaring of its reachability matrix.  One
+    eigensolve of the whole matrix has the same values in exact arithmetic,
+    but a zero eigenvalue shared by two coupled blocks is defective, and the
+    whole-matrix solve moves it by about sqrt(machine eps) * ||L||, past the
+    zero threshold.
+    """
+    A = g1.adjacency()
+    A[u - 1, v - 1] -= eps
+    if abs(A[u - 1, v - 1]) < CANCEL_TOL:
+        A[u - 1, v - 1] = 0.0
+    L = np.diag(A.sum(axis=1)) - A
+    reach = (A != 0) | np.eye(g1.n, dtype=bool)
+    for _ in range(g1.n.bit_length()):
+        reach |= (reach.astype(int) @ reach.astype(int)) > 0
+    sccs = np.unique(reach & reach.T, axis=0)  # one membership row per SCC
+    values = np.concatenate([np.linalg.eigvals(L[np.ix_(m, m)]) for m in sccs])
+    thr = ZERO_TOL * max(np.abs(L).sum(axis=1).max(), 1.0)
+    return bool(np.any(values.real < -thr))
+
+
+@st.composite
+def perturbed_bases(draw):
+    """Multi-reach base graph, maybe signed, maybe with an edge of weight eps.
+
+    A few extra edges chain components together, so that a test edge can
+    merge several SCCs into one block.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_multi_reach_graph(
+        rng,
+        blocks=draw(st.integers(2, 5)),
+        block_size=draw(st.integers(1, 5)),
+        commons=draw(st.integers(0, 6)),
+    )
+    eps = draw(st.sampled_from([1e-6, 1e-4, 0.3, 3.0]))
+    edges = dict(g.edges)
+    nodes = st.integers(1, g.n)
+    for u, v in draw(st.lists(st.tuples(nodes, nodes), max_size=3)):
+        if u != v:
+            edges[(u, v)] = float(rng.uniform(0.5, 2.5))
+    keys = sorted(edges)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []:
+        edges[key] = -edges[key]
+    if keys and draw(st.booleans()):
+        edges[draw(st.sampled_from(keys))] = eps  # -eps on this pair cancels it exactly
+    return SignedDigraph(g.n, edges), eps
+
+
+# u = 13 has one edge out of its cycle, of weight eps: every new edge (13, v) with v
+# downstream leaves the cycle's block singular, a zero coupled to the sinks' zeros
+DEFECTIVE_ZERO = (
+    SignedDigraph(16, {
+        (1, 2): 1.7739233746429086, (2, 3): 1.0395734275277406, (3, 4): 0.5819470478723894,
+        (4, 1): 0.5330552710570582, (5, 6): 2.126540478400545, (6, 7): 2.3255111545554437,
+        (7, 8): 1.7132715515343597, (8, 5): 1.9589931219679968, (9, 10): 1.5872499829308457,
+        (10, 11): 2.3701448475755367, (11, 12): 2.1317071082430643, (12, 9): 0.5054770003402962,
+        (13, 14): 2.2148085531751387, (14, 15): 0.5671711506109287, (15, 16): 1.9593108928598881,
+        (16, 13): 0.851311241205118, (13, 1): 3.0,
+    }),
+    3.0,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_bases())
+@example(DEFECTIVE_ZERO)
+def test_verify_sensitive_pairs_matches_dense_eigensolve(case):
+    g1, eps = case
+    pairs = [(u, v) for u in range(1, g1.n + 1) for v in range(1, g1.n + 1) if u != v]
+    got = verify_sensitive_pairs(g1, pairs, eps)
+    assert got == [dense_verified(g1, u, v, eps) for u, v in pairs]
+
+
+def test_verify_sensitive_pairs_rejects_bad_input(reach12_uniform):
+    for eps in (0.0, -1e-4, float("nan"), float("inf"), 1e-13):
+        with pytest.raises(ValueError, match="eps"):
+            verify_sensitive_pairs(reach12_uniform, [(1, 4)], eps)
+    for pair in ((3, 3), (0, 4), (1, 13)):
+        with pytest.raises(ValueError, match="pair"):
+            verify_sensitive_pairs(reach12_uniform, [pair])

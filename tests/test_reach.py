@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
@@ -179,3 +183,62 @@ def test_validation_catches_inconsistency():
     assert d.d == 1
     assert sorted(d.reaching[0]) == [2]
     assert isinstance(NumericsError("x"), RuntimeError)
+
+
+def bfs_reachable_sets(g, positive_only):
+    """Oracle: reachable set of every node by BFS over the reversed stored edges."""
+    rev = {i: [] for i in range(1, g.n + 1)}
+    for (i, j), w in g.edges.items():
+        if w > 0 or not positive_only:
+            rev[j].append(i)
+
+    def closure(i):
+        seen, queue = {i}, deque([i])
+        while queue:
+            for p in rev[queue.popleft()]:
+                if p not in seen:
+                    seen.add(p)
+                    queue.append(p)
+        return frozenset(seen)
+
+    return {i: closure(i) for i in range(1, g.n + 1)}
+
+
+def bfs_decomposition(sets):
+    """Oracle: reaches as the maximal reachable sets, then U/X/C and the order."""
+    distinct = set(sets.values())
+    maximal = [r for r in distinct if not any(r < other for other in distinct)]
+    ranked = sorted(
+        ((r, frozenset(i for i in sets if sets[i] == r)) for r in maximal),
+        key=lambda t: (min(t[0]), min(t[1])),
+    )
+    reaches = tuple(r for r, _ in ranked)
+    reaching = tuple(u for _, u in ranked)
+    exclusive = tuple(
+        r - frozenset().union(*(o for o in reaches if o is not r)) for r in reaches
+    )
+    common = tuple(r - x for r, x in zip(reaches, exclusive))
+    order = []
+    for u, x in zip(reaching, exclusive):
+        order += sorted(u) + sorted(x - u)
+    order += sorted(frozenset().union(*common))
+    return len(reaches), reaches, reaching, exclusive, common, tuple(order)
+
+
+@st.composite
+def random_digraphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    weights = st.sampled_from([-1.5, -0.5, 0.5, 2.0])
+    edges = draw(st.dictionaries(pairs, weights, max_size=3 * n)) if n > 1 else {}
+    return SignedDigraph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_digraphs(), st.booleans())
+def test_decomposition_matches_bfs_oracle(g, positive_only):
+    sets = bfs_reachable_sets(g, positive_only)
+    for i in range(1, g.n + 1):
+        assert reachable_set(g, i, positive_only) == sets[i]
+    d = reach_decomposition(g, positive_only=positive_only)
+    assert (d.d, d.reaches, d.reaching, d.exclusive, d.common, d.order) == bfs_decomposition(sets)

@@ -14,6 +14,7 @@ from signedlap import (
     simulate,
     superpose,
 )
+from signedlap.errors import PremiseError
 from signedlap.simulate import default_dt, default_horizon, spread
 
 from conftest import random_premise_graph
@@ -46,6 +47,12 @@ def test_guards():
         simulate(L, np.zeros(2), dt=0.01, horizon=0.001)
     with pytest.raises(ValueError):
         simulate(L, np.zeros(3), dt=0.01, horizon=1.0)
+    for dt, horizon in ((np.nan, 5.0), (0.01, np.inf), (0.01, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(L, np.zeros(2), dt=dt, horizon=horizon)
+    # a subnormal dt passes the stability guard, but horizon / dt overflows to inf
+    with pytest.raises(PremiseError, match="MAX_TRACE_BYTES"):
+        simulate(L, np.zeros(2), dt=1e-310, horizon=50.0)
 
 
 def test_divergence_truncates():
