@@ -109,6 +109,8 @@ def _cmd_sensitive(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.rel_tol) and args.rel_tol > 0):
+        raise ValueError(f"--rel-tol must be finite and positive, got {args.rel_tol}")
     g = _load_graph(args.graph)
     if args.delta is not None:
         if args.pair is None:

@@ -18,15 +18,6 @@ from .simulate import SimulationTrace
 from .spectral import NullBasis
 
 
-def sig15(x: float) -> float | str:
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return float(f"{x:.15g}")
-
-
 def _fmt(x: float) -> str:
     x = float(x)
     if math.isinf(x):
@@ -34,6 +25,11 @@ def _fmt(x: float) -> str:
     if math.isnan(x):
         return "nan"
     return f"{x:.15g}"
+
+
+def sig15(x: float) -> float | str:
+    text = _fmt(x)
+    return float(text) if math.isfinite(float(x)) else text
 
 
 def spectrum_json(values: np.ndarray) -> list[dict[str, Any]]:

@@ -31,12 +31,18 @@ logger = logging.getLogger(__name__)
 
 #: real-axis crossings need Re G above this to yield a finite positive delta
 CROSSING_RE_TOL = 1e-12
-#: |Im G| target when refining a crossing frequency
-CROSSING_IM_TOL = 1e-12
+#: |Im s| / |s| under which a zero s counts as real: a double real zero (a tangency)
+#: splits under rounding by about sqrt(eps) |s|, and admitting it only lowers delta*
+REAL_ZERO_RTOL = 1e-6
 #: relative slack when collecting the crossings that attain the maximum
 ACHIEVER_RTOL = 1e-9
-#: |w*| below 1e-8 * max(scale, 1) classifies the bound as necessary-and-sufficient
+#: crossings at w up to 1e-8 * max(scale, 1) are the w = 0 crossing itself
 OMEGA_ZERO_FACTOR = 1e-8
+#: a sweep sample with a Schur pivot |T_ii - j w| under this times ||Lbar1||, a few
+#: times the Schur form's backward error, sits on an eigenvalue and is skipped
+SWEEP_PIVOT_RTOL = 1e-13
+#: sweep frequencies back-substituted together, bounding the workspace
+SWEEP_CHUNK = 256
 
 REGIME_NECESSARY_AND_SUFFICIENT = "NecessaryAndSufficient"
 REGIME_SUFFICIENT_ONLY = "SufficientOnly"
@@ -63,9 +69,6 @@ class FrequencyGrid:
         return np.concatenate(
             [[0.0], np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)]
         )
-
-    def widened(self, factor: float) -> "FrequencyGrid":
-        return FrequencyGrid(lo=self.lo, hi=self.hi * factor, points=self.points)
 
 
 @dataclass(frozen=True)
@@ -123,123 +126,119 @@ def r_value(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
 def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
                   q_uv: float, q_vu: float,
                   grid: FrequencyGrid | None = None) -> list[TransferSample]:
-    """Sample the transfer map over the grid, ending with the w -> inf limit 0."""
+    """Sample the transfer map over the grid, ending with the w -> inf limit 0.
+
+    Back-substitutes ``T - j w I`` of one complex Schur form ``Z T Z^H`` of
+    Lbar1 for a chunk of frequencies at once (Laub 1981); samples on an
+    eigenvalue are skipped with a warning.
+    """
     if grid is None:
         grid = FrequencyGrid.for_system(lbar1)
+    omegas = grid.omegas()
+    b, c = _input_vectors(Q, u, v, q_uv, q_vu)
+    T, Z = scipy.linalg.schur(lbar1, output="complex")
+    bt, ct = Z.conj().T @ b, Z.T @ c
+    tol = SWEEP_PIVOT_RTOL * max(matrix_scale(lbar1), 1.0)
     samples: list[TransferSample] = []
-    for omega in grid.omegas():
-        try:
-            samples.append(TransferSample(float(omega), r_value(lbar1, Q, u, v, q_uv, q_vu, omega)))
-        except NumericsError:
+    for start in range(0, omegas.size, SWEEP_CHUNK):
+        chunk = omegas[start:start + SWEEP_CHUNK]
+        shifted = np.diag(T)[:, None] - 1j * chunk
+        singular = (np.abs(shifted) < tol).any(axis=0)
+        for omega in chunk[singular]:
             logger.warning("skipping singular sample at omega=%g", omega)
+        shifted = shifted[:, ~singular]
+        X = np.empty(shifted.shape, dtype=complex)
+        for i in range(T.shape[0] - 1, -1, -1):
+            X[i] = (bt[i] - T[i, i + 1:] @ X[i + 1:]) / shifted[i]
+        kept = chunk[~singular]
+        values = ct @ X
+        values.imag[kept == 0.0] = 0.0  # G(j0) is real; drop the complex Schur rounding
+        samples.extend(TransferSample(float(w), complex(z)) for w, z in zip(kept, values))
     samples.append(TransferSample(math.inf, 0j))
     return samples
 
 
-def check_spectrum_condition(g: SignedDigraph) -> bool:
-    """True iff L has exactly one zero eigenvalue and the rest lie in Re > 0."""
-    L = laplacian(g)
-    values = eigenvalues(L)
+def _spectrum_condition_holds(L: np.ndarray, values: np.ndarray) -> bool:
     thr = ZERO_TOL * max(matrix_scale(L), 1.0)
     near_zero = np.abs(values) < thr
     return int(near_zero.sum()) == 1 and bool(np.all(near_zero | (values.real > thr)))
 
 
-def _refine_crossing(G, lo: float, hi: float, f_lo: float) -> float:
-    """Bisect a sign change of Im G down to CROSSING_IM_TOL (or interval exhaustion)."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = G(mid).imag
-        if abs(fm) < CROSSING_IM_TOL or (hi - lo) <= np.finfo(float).eps * max(hi, 1e-300):
-            return mid
-        if f_lo * fm < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, fm
-    return 0.5 * (lo + hi)
+def check_spectrum_condition(g: SignedDigraph) -> bool:
+    """True iff L has exactly one zero eigenvalue and the rest lie in Re > 0."""
+    L = laplacian(g)
+    return _spectrum_condition_holds(L, eigenvalues(L))
 
 
-def _find_crossings(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
-                    q_uv: float, q_vu: float,
-                    grid: FrequencyGrid) -> list[tuple[float, float]]:
-    def G(omega: float) -> complex:
-        return r_value(lbar1, Q, u, v, q_uv, q_vu, omega)
+def _crossing_frequencies(lbar1: np.ndarray, b: np.ndarray, c: np.ndarray,
+                          omega_zero: float) -> np.ndarray:
+    """Ascending w > omega_zero with Im G(j w) = w c^T (A^2 + w^2 I)^(-1) b = 0, A = Lbar1.
 
-    samples = [(omega, G(omega)) for omega in grid.omegas()]
-    crossings = [(0.0, samples[0][1].real)]  # G(j0) is real by construction
-    for (w0, g0), (w1, g1) in zip(samples[1:], samples[2:]):
-        if g0.imag == 0.0 and w0 > 0.0:
-            crossings.append((w0, g0.real))
-        elif g0.imag * g1.imag < 0:
-            wc = _refine_crossing(G, w0, w1, g0.imag)
-            crossings.append((wc, G(wc).real))
-    return crossings
+    These are sqrt(s) for the real zeros s > 0 of ``(-A^2, b, c^T)``, found by
+    one QZ call on its pencil ``[[-A^2, b], [c^T, 0]] - s diag(I, 0)``
+    (Emami-Naeini & Van Dooren 1982).  It is regular as ``c^T b = q_uv + q_vu
+    > 0``; no pole cancels a zero s > 0 as A has no imaginary-axis eigenvalue.
+    Zeros up to ``omega_zero^2`` are the w = 0 crossing itself.
+    """
+    m = lbar1.shape[0]
+    pencil = np.zeros((m + 1, m + 1))
+    pencil[:m, :m] = -lbar1 @ lbar1
+    pencil[:m, m] = b
+    pencil[m, :m] = c
+    mass = np.diag(np.append(np.ones(m), 0.0))
+    alpha, beta = scipy.linalg.eigvals(pencil, mass, homogeneous_eigvals=True)
+    # A zero s is an eigenvalue of -A^2 after the oblique projection I - b c^T / c^T b,
+    # so |s| <= bound (doubled for rounding); QZ may return an infinite zero as alpha
+    # over a beta at rounding level, far beyond it.
+    bound = np.linalg.norm(b) * np.linalg.norm(c) / (c @ b) * np.linalg.norm(pencil[:m, :m])
+    finite = np.abs(alpha) <= 2.0 * bound * np.abs(beta)
+    zeros = alpha[finite] / beta[finite]
+    real = np.abs(zeros.imag) <= REAL_ZERO_RTOL * np.abs(zeros)
+    return np.sort(np.sqrt(zeros.real[real & (zeros.real > omega_zero**2)]))
 
 
-def delta_star(g1: SignedDigraph, pert: EdgePerturbation,
-               grid: FrequencyGrid | None = None) -> DeltaStarResult:
+def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     """Critical magnitude for the perturbation of pair (u, v) on base graph g1.
 
     Requires the base Laplacian to satisfy the one-zero/right-half-plane
-    spectrum condition.  Crossings of the real axis are located by sign
-    changes of Im G over the grid plus bisection refinement; w = 0 is always
-    evaluated directly.  If no crossing with positive real part is found, the
-    grid is widened once (x100 upper bound) before reporting an infinite
-    bound with a diagnostic.
+    spectrum condition.  G is evaluated by one solve at w = 0 and at each
+    crossing from ``_crossing_frequencies``.  A premise graph always has a
+    crossing with positive real part: the perturbed trace falls as delta
+    grows, so the condition fails at some finite delta_c, where
+    ``G(j w) = 1 / delta_c``.  Finding none raises ``NumericsError``.
     """
-    if not check_spectrum_condition(g1):
+    L1 = laplacian(g1)
+    values = eigenvalues(L1)
+    if not _spectrum_condition_holds(L1, values):
         raise PremiseError(
             "base Laplacian must have one zero eigenvalue and all other "
             "eigenvalues with positive real part"
         )
-    L1 = laplacian(g1)
+    # Lbar1 has the spectrum of L1 less one zero, so the same magnitude
+    omega_zero = OMEGA_ZERO_FACTOR * max(float(np.abs(values).max()), 1.0)
     Q = helmert_basis(g1.n)
     lbar1 = reduced_laplacian(L1, Q)
-    if grid is None:
-        grid = FrequencyGrid.for_system(lbar1)
-    scale = float(np.abs(eigenvalues(lbar1)).max())
+    u, v, q_uv, q_vu = pert.u, pert.v, pert.q_uv, pert.q_vu
+    b, c = _input_vectors(Q, u, v, q_uv, q_vu)
 
-    crossings = _find_crossings(lbar1, Q, pert.u, pert.v, pert.q_uv, pert.q_vu, grid)
-    positive = [(w, re) for w, re in crossings if re > CROSSING_RE_TOL]
-    diagnostic = None
-    if not positive:
-        grid = grid.widened(100.0)
-        crossings = _find_crossings(lbar1, Q, pert.u, pert.v, pert.q_uv, pert.q_vu, grid)
-        positive = [(w, re) for w, re in crossings if re > CROSSING_RE_TOL]
-        if not positive:
-            diagnostic = (
-                "no real-axis crossing with positive real part found, even on a "
-                "100x widened grid; for nonzero gains a crossing must exist, so "
-                "this signals numerical escape"
-            )
-
-    g0 = r_value(lbar1, Q, pert.u, pert.v, pert.q_uv, pert.q_vu, 0.0).real
+    crossings = [(omega, r_value(lbar1, Q, u, v, q_uv, q_vu, omega).real)
+                 for omega in (0.0, *_crossing_frequencies(lbar1, b, c, omega_zero).tolist())]
+    g0 = crossings[0][1]
     necessary = 1.0 / g0 if g0 > CROSSING_RE_TOL else math.inf
-
+    positive = [(w, re) for w, re in crossings if re > CROSSING_RE_TOL]
     if not positive:
-        return DeltaStarResult(
-            delta_star=math.inf,
-            crossings=tuple(crossings),
-            omega_star=None,
-            regime=None,
-            necessary_bound=necessary,
-            diagnostic=diagnostic,
+        raise NumericsError(
+            f"no real-axis crossing with positive real part among {len(crossings)}; "
+            "a premise graph always has one, so the crossing computation failed"
         )
 
     re_max = max(re for _, re in positive)
-    achievers = [w for w, re in positive if re >= re_max * (1.0 - ACHIEVER_RTOL)]
-    omega_zero = OMEGA_ZERO_FACTOR * max(scale, 1.0)
-    if any(abs(w) <= omega_zero for w in achievers):
-        regime = REGIME_NECESSARY_AND_SUFFICIENT
-        omega_star = 0.0
-    else:
-        regime = REGIME_SUFFICIENT_ONLY
-        omega_star = min(achievers, key=abs)
+    omega_star = min(w for w, re in positive if re >= re_max * (1.0 - ACHIEVER_RTOL))
     return DeltaStarResult(
         delta_star=1.0 / re_max,
         crossings=tuple(crossings),
         omega_star=omega_star,
-        regime=regime,
+        regime=REGIME_NECESSARY_AND_SUFFICIENT if omega_star == 0.0 else REGIME_SUFFICIENT_ONLY,
         necessary_bound=necessary,
     )
 

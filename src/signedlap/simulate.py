@@ -102,6 +102,8 @@ def consensus_reached(trace: SimulationTrace, rel_tol: float = 1e-6) -> bool:
     spread; a trace that starts in exact agreement compares against rel_tol
     itself.  A diverged trace never reaches consensus.
     """
+    if not 0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if trace.states.size == 0:
         raise ValueError("empty trace")
     if trace.diverged:

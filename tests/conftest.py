@@ -11,8 +11,10 @@ from signedlap import (
     EdgePerturbation,
     SignedDigraph,
     check_spectrum_condition,
+    helmert_basis,
     laplacian,
     parse_edge_list,
+    reduced_laplacian,
     superpose,
 )
 
@@ -139,18 +141,28 @@ def random_signed_digraph(rng: np.random.Generator, n: int) -> SignedDigraph:
 
 
 def bisection_delta_star(g1: SignedDigraph, pert: EdgePerturbation,
-                         iters: int = 60) -> float:
+                         iters: int = 60, exact: bool = False) -> float:
     """Independent oracle: bisect delta on the perturbed spectrum condition.
 
     Bracket [0, trace(L1) + 1]; valid whenever q_uv + q_vu >= 1, since the
     Laplacian trace turns negative before the bracket top.
+
+    The spectrum condition counts an eigenvalue within ZERO_TOL * scale of 0
+    as zero, so its flip comes early by ZERO_TOL * scale / |d lambda / d delta|,
+    which is large when the critical eigenvalue moves slowly.  With ``exact``
+    the test is instead that the reduced Laplacian Q L Q^T (the spectrum of L
+    less its structural zero) has every eigenvalue in Re > 0, with no threshold.
     """
     hi = float(np.trace(laplacian(g1))) + 1.0
     lo = 0.0
+    Q = helmert_basis(g1.n)
 
     def cond(delta: float) -> bool:
         moved = EdgePerturbation(pert.u, pert.v, pert.q_uv, pert.q_vu, delta)
-        return check_spectrum_condition(superpose(g1, moved.graph(g1.n)))
+        g = superpose(g1, moved.graph(g1.n))
+        if exact:
+            return bool(np.linalg.eigvals(reduced_laplacian(laplacian(g), Q)).real.min() > 0)
+        return check_spectrum_condition(g)
 
     assert cond(0.0) and not cond(hi)
     for _ in range(iters):

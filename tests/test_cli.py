@@ -152,6 +152,15 @@ def test_simulate_refuses_oversized_trace(capsys, tmp_path):
     assert "MAX_TRACE_BYTES" in err
 
 
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "-1", "0"])
+def test_simulate_rejects_bad_rel_tol(capsys, rel_tol):
+    # nan used to pass and report no consensus on a spread of 4e-15
+    code, out, err = run(capsys, "simulate", "--graph", str(DATA / "triangle.txt"),
+                         f"--rel-tol={rel_tol}")
+    assert code == 2 and out == ""
+    assert "--rel-tol" in err
+
+
 def test_simulate_cli_consensus_flip(tmp_path, capsys):
     results = {}
     for delta in ("1.5", "1.95"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
@@ -23,6 +25,7 @@ from signedlap import (
     solve_lyapunov,
     superpose,
 )
+import signedlap.robustness as robustness
 from signedlap.robustness import (
     REGIME_NECESSARY_AND_SUFFICIENT,
     REGIME_SUFFICIENT_ONLY,
@@ -316,3 +319,130 @@ def test_frequency_grid_contract():
     assert om[-1] == pytest.approx(1e3)
     with pytest.raises(ValueError):
         FrequencyGrid(lo=0.0, hi=1.0).omegas()
+
+
+GAIN_PATTERNS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+
+
+@st.composite
+def premise_cases(draw, max_n=12):
+    """A premise graph, signed or not, with a random pair and gain pattern."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_premise_graph(rng, n)
+    if draw(st.booleans()):
+        free = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                if i != j and (i, j) not in g.edges]
+        assume(free)
+        for _ in range(20):
+            picks = rng.choice(len(free), size=min(len(free), int(rng.integers(1, 4))),
+                               replace=False)
+            edges = dict(g.edges)
+            edges.update({free[k]: -float(rng.uniform(0.1, 1.5)) for k in picks})
+            signed = SignedDigraph(n, edges)
+            if check_spectrum_condition(signed):
+                break
+        else:
+            assume(False)
+        g = signed
+    u, v = draw(st.permutations(range(1, n + 1)))[:2]
+    q_uv, q_vu = draw(st.sampled_from(GAIN_PATTERNS))
+    return g, EdgePerturbation(u, v, q_uv=q_uv, q_vu=q_vu)
+
+
+#: the critical eigenvalue of this pair moves at 2.2e-3 per unit delta, so the
+#: thresholded spectrum condition flips 5.3e-6 below the exact delta* = 1 / G(0)
+FLAT_CROSSING = (SignedDigraph(12, {
+    (1, 3): 1.252543894854783, (1, 4): 0.797094753390376, (1, 6): 2.089182017914354,
+    (1, 10): 1.4477970663842308, (2, 3): 0.6256164744991617, (3, 2): 1.7929023177221233,
+    (3, 7): 1.1497181366916451, (3, 9): 0.7503351279848904, (3, 12): 1.2691256756941725,
+    (4, 2): 1.9157139437561272, (4, 8): 2.0393465802441497, (5, 2): 1.773070626519004,
+    (5, 8): 2.1472275587794583, (6, 4): 2.023071502080917, (6, 7): 1.5027695333459967,
+    (6, 8): 2.2168502688413976, (7, 4): 1.9148356288150594, (7, 9): 2.027571121480691,
+    (7, 10): 1.6659601964479611, (8, 2): -1.1204219320845896, (8, 6): 0.9146460676576411,
+    (8, 10): 0.7000272918947712, (9, 10): 1.8220509911545064, (9, 12): -0.4315202148067081,
+    (10, 2): 0.8765858386333483, (10, 3): 2.176891948348416, (10, 5): -0.35689022812211746,
+    (11, 3): 2.1420655933716857, (11, 5): 1.1796669333043515, (11, 7): 2.3081706826319857,
+    (12, 2): 1.8228717840301325, (12, 3): 2.107844906128692
+}), EdgePerturbation(5, 6, q_uv=1.0, q_vu=0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(premise_cases())
+@example(FLAT_CROSSING)
+def test_delta_star_matches_bisection_oracle_property(case):
+    g, pert = case
+    result = delta_star(g, pert)
+    oracle = bisection_delta_star(g, pert, exact=True)
+    if result.regime == REGIME_NECESSARY_AND_SUFFICIENT:
+        assert abs(result.delta_star - oracle) < 1e-6 * max(result.delta_star, 1.0)
+    else:
+        assert result.regime == REGIME_SUFFICIENT_ONLY
+        assert result.delta_star <= oracle + 1e-6
+
+
+def relabeled(g, perm):
+    """g with node i renamed perm[i - 1]."""
+    return SignedDigraph(g.n, {(perm[i - 1], perm[j - 1]): w for (i, j), w in g.edges.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(premise_cases(), st.floats(0.2, 5.0), st.randoms(use_true_random=False))
+def test_delta_star_metamorphic(case, alpha, random):
+    g, pert = case
+    base = delta_star(g, pert)
+    # scaling every weight by alpha scales G(j w) to G(j w / alpha) / alpha
+    scaled = delta_star(SignedDigraph(g.n, {k: alpha * w for k, w in g.edges.items()}), pert)
+    assert scaled.regime == base.regime
+    assert scaled.delta_star == pytest.approx(alpha * base.delta_star, rel=1e-8)
+    assert scaled.omega_star == pytest.approx(alpha * base.omega_star, rel=1e-8)
+    assert len(scaled.crossings) == len(base.crossings)
+    assert_allclose([w for w, _ in scaled.crossings], [alpha * w for w, _ in base.crossings],
+                    rtol=1e-8)
+    # relabeling the nodes is an orthogonal similarity of Lbar1: nothing moves
+    perm = list(range(1, g.n + 1))
+    random.shuffle(perm)
+    moved = delta_star(relabeled(g, perm), EdgePerturbation(
+        perm[pert.u - 1], perm[pert.v - 1], q_uv=pert.q_uv, q_vu=pert.q_vu))
+    assert moved.regime == base.regime
+    assert moved.delta_star == pytest.approx(base.delta_star, rel=1e-8)
+    assert moved.omega_star == pytest.approx(base.omega_star, rel=1e-8)
+    assert_allclose(moved.crossings, base.crossings, rtol=1e-8, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(premise_cases(max_n=30))
+def test_nyquist_sweep_matches_r_value(case):
+    g, pert = case
+    lbar, Q = lbar_of(g)
+    samples = nyquist_sweep(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu)
+    assert [s.omega for s in samples[:-1]] == list(FrequencyGrid.for_system(lbar).omegas())
+    assert samples[0].value.imag == 0.0
+    got = np.array([s.value for s in samples[:-1]])
+    want = np.array([r_value(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu, s.omega)
+                     for s in samples[:-1]])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_delta_star_without_positive_crossing_raises(spoked8, monkeypatch):
+    # Re G(0) < 0 for this pair; its only positive crossing lies at w > 0
+    pert = EdgePerturbation(1, 2, q_uv=0.0, q_vu=1.0)
+    assert delta_star(spoked8, pert).regime == REGIME_SUFFICIENT_ONLY
+    monkeypatch.setattr(robustness, "_crossing_frequencies", lambda *args: np.array([]))
+    with pytest.raises(NumericsError, match="no real-axis crossing"):
+        delta_star(spoked8, pert)
+
+
+def test_crossings_skip_infinite_pencil_eigenvalues():
+    # QZ returned one of the pencil's two infinite eigenvalues as 3.6e16 here,
+    # which read as a crossing at w = 1.9e8 before the a-priori bound on zeros
+    edges = {(6, 1): 1.1003325698224509, (7, 1): 0.5105306091311494,
+             (3, 7): 2.1424568367655326, (5, 1): 1.4358699056874416,
+             (2, 3): 1.106064853638627, (4, 7): 1.0097391753082492,
+             (7, 4): 1.5090965179159066, (5, 4): 2.4910005668687853}
+    perm = [3, 4, 7, 5, 1, 2, 6]
+    base = delta_star(SignedDigraph(7, edges), EdgePerturbation(7, 3, q_uv=1.0, q_vu=0.0))
+    moved = delta_star(relabeled(SignedDigraph(7, edges), perm),
+                       EdgePerturbation(perm[6], perm[2], q_uv=1.0, q_vu=0.0))
+    assert len(base.crossings) == len(moved.crossings) == 2
+    assert moved.crossings[1][0] == pytest.approx(1.5079814239421971, rel=1e-9)

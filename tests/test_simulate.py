@@ -68,6 +68,9 @@ def test_divergence_truncates():
 def test_consensus_from_agreement():
     trace = simulate(np.zeros((3, 3)), np.full(3, 4.2), dt=0.1, horizon=2.0)
     assert consensus_reached(trace)
+    for rel_tol in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="rel_tol"):
+            consensus_reached(trace, rel_tol)
 
 
 def test_left_null_functional_conserved(reach12):
