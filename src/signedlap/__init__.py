@@ -4,7 +4,6 @@ from .errors import GraphFormatError, NumericsError, PremiseError
 from .graph import (
     EdgePerturbation,
     SignedDigraph,
-    induced_subgraph,
     laplacian,
     matrix_scale,
     parse_edge_list,
@@ -47,6 +46,7 @@ from .robustness import (
 from .simulate import SimulationTrace, consensus_reached, simulate
 from .spectral import (
     NullBasis,
+    block_spectrum,
     eigenvalues,
     helmert_basis,
     householder_basis,
@@ -54,6 +54,7 @@ from .spectral import (
     null_left_vectors,
     null_right_vectors,
     reduced_laplacian,
+    spectrum_condition,
     zero_multiplicity,
 )
 

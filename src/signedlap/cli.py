@@ -29,14 +29,14 @@ from .perturb import sensitive_pairs, verify_sensitive_pairs
 from .reach import reach_decomposition
 from .robustness import (
     EffectiveResistance,
-    check_spectrum_condition,
     delta_star,
     effective_resistance_directed,
     effective_resistance_undirected,
     nyquist_sweep,
 )
 from .simulate import consensus_reached, default_dt, default_horizon, simulate, spread
-from .spectral import eigenvalues, helmert_basis, null_basis, reduced_laplacian, zero_multiplicity
+from .spectral import (block_spectrum, helmert_basis, null_basis, reduced_laplacian,
+                       spectrum_condition, zero_multiplicity)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,13 +58,13 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     L = laplacian(g)
-    values = eigenvalues(L)
+    values, scale = block_spectrum(L), matrix_scale(L)
     decomp = reach_decomposition(g, positive_only=args.positive_only)
     payload = {
         "n": g.n,
         "spectrum": report.spectrum_json(values),
-        "zero_multiplicity": zero_multiplicity(values, matrix_scale(L)),
-        "spectrum_condition": check_spectrum_condition(g),
+        "zero_multiplicity": zero_multiplicity(values, scale),
+        "spectrum_condition": spectrum_condition(values, scale),
         "decomposition": report.decomposition_json(decomp),
         "null_basis": report.null_basis_json(null_basis(g, decomp)) if g.nonnegative else None,
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -184,21 +184,3 @@ def split_signs(g: SignedDigraph) -> tuple[SignedDigraph, SignedDigraph]:
     neg = {k: w for k, w in g.edges.items() if w < 0}
     return SignedDigraph(g.n, pos), SignedDigraph(g.n, neg)
 
-
-def induced_subgraph(g: SignedDigraph, nodes: Iterable[int]) -> SignedDigraph:
-    """Subgraph on the given nodes, relabeled 1..k in the given order."""
-    order = list(nodes)
-    if not order:
-        raise ValueError("node list is empty")
-    if len(set(order)) != len(order):
-        raise ValueError("node list contains duplicates")
-    for i in order:
-        if not (1 <= i <= g.n):
-            raise ValueError(f"node {i} out of range 1..{g.n}")
-    index = {node: pos + 1 for pos, node in enumerate(order)}
-    keep = {
-        (index[i], index[j]): w
-        for (i, j), w in g.edges.items()
-        if i in index and j in index
-    }
-    return SignedDigraph(len(order), keep)

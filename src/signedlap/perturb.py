@@ -24,7 +24,7 @@ import scipy.optimize
 from .errors import PremiseError
 from .graph import CANCEL_TOL, SignedDigraph, laplacian
 from .reach import ReachDecomposition, condensation, reach_decomposition
-from .spectral import ZERO_TOL, NullBasis, eigenvalues
+from .spectral import ZERO_TOL, NullBasis, _diagonal_blocks, eigenvalues
 
 CLASS_COND1 = "Cond1"
 CLASS_COND2 = "Cond2"
@@ -165,10 +165,9 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
         raise ValueError(f"eps must be finite and at least {CANCEL_TOL:g}, got {eps}")
     L = laplacian(g1)
     cond = condensation(g1)
-    block_low = np.array([
-        eigenvalues(L[np.ix_(m, m)]).real.min()
-        for m in (np.flatnonzero(cond.labels == c) for c in range(cond.k))
-    ])
+    block_low = np.empty(cond.k)
+    for comps, values in _diagonal_blocks(L, cond.labels):
+        block_low[comps] = values.real.min(axis=1)
     row_scale = np.abs(L).sum(axis=1)
     memo: dict[tuple, float] = {}
     out = []

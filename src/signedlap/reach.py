@@ -21,12 +21,13 @@ ordering nodes as ``U_1, X_1\\U_1, U_2, ..., X_d\\U_d, C`` places all
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericsError
-from .graph import SignedDigraph, induced_subgraph
+from .graph import SignedDigraph
 
 
 @dataclass(frozen=True)
@@ -60,41 +61,44 @@ class Condensation:
         return self.closure.shape[0]
 
 
-def _strong_components(
-    g: SignedDigraph, positive_only: bool
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """SCC count and labels, plus the kept edges as 0-based endpoint arrays."""
-    # imported here so the subcommands that never walk the graph skip scipy.sparse.csgraph
-    import scipy.sparse
-    from scipy.sparse.csgraph import connected_components
-
+def _edges(g: SignedDigraph, positive_only: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The kept stored edges as 0-based endpoint arrays."""
     keys = [key for key, w in g.edges.items() if w > 0 or not positive_only]
-    rows = np.array([i for i, _ in keys], dtype=np.intp) - 1
-    cols = np.array([j for _, j in keys], dtype=np.intp) - 1
-    adjacency = scipy.sparse.csr_matrix((np.ones(len(keys)), (rows, cols)), shape=(g.n, g.n))
-    k, labels = connected_components(adjacency, directed=True, connection="strong")
-    return k, labels, rows, cols
+    rows, cols = np.array(keys, dtype=np.intp).reshape(-1, 2).T - 1
+    return rows, cols
+
+
+def _strong_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """SCC count and labels of the digraph on nodes 0..n-1 with edges rows[e] -> cols[e]."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    adjacency = scipy.sparse.csr_array((np.ones(len(rows)), cols[order], indptr), shape=(n, n))
+    return connected_components(adjacency, directed=True, connection="strong")
+
+
+def _condense(n: int, rows: np.ndarray, cols: np.ndarray) -> Condensation:
+    k, labels = _strong_components(n, rows, cols)
+    # scipy labels the components in reverse topological order (an edge between two leads
+    # to the lower label), so in ascending label order each row's successors come first
+    a, b = labels[rows], labels[cols]
+    if np.any(a < b):
+        raise NumericsError(
+            f"scipy {scipy.__version__} numbered the strong components out of topological order"
+        )
+    pairs = np.unique((a * k + b)[a != b])  # one per linked pair of components, ascending a
+    closure = np.eye(k, dtype=bool)
+    for c, s in zip((pairs // k).tolist(), (pairs % k).tolist()):
+        closure[c] |= closure[s]
+    return Condensation(labels=labels, closure=closure)
 
 
 def condensation(g: SignedDigraph, positive_only: bool = False) -> Condensation:
     """SCCs of the stored edges (Tarjan's condensation) and their reachability.
 
     Edge existence is sign-agnostic by default; ``positive_only=True`` keeps
-    positive edges only.  The closure is built in one pass over the
-    components in reverse topological order, each row the union of its
-    successors' rows.
+    positive edges only.
     """
-    k, labels, rows, cols = _strong_components(g, positive_only)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    for a, b in zip(labels[rows].tolist(), labels[cols].tolist()):
-        if a != b:
-            succ[a].add(b)
-    closure = np.eye(k, dtype=bool)
-    # successors are listed as predecessors, so every component comes after its successors
-    for c in TopologicalSorter(dict(enumerate(succ))).static_order():
-        for b in succ[c]:
-            closure[c] |= closure[b]
-    return Condensation(labels=labels, closure=closure)
+    return _condense(g.n, *_edges(g, positive_only))
 
 
 def _nodes(mask: np.ndarray) -> frozenset[int]:
@@ -123,7 +127,8 @@ def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachD
     exclusive block with its reaching nodes first, then the union of the
     common sets, ascending ids inside every group.
     """
-    cond = condensation(g, positive_only)
+    rows, cols = _edges(g, positive_only)
+    cond = _condense(g.n, rows, cols)
     sinks = np.flatnonzero(cond.closure.sum(axis=1) == 1)
     hits = cond.closure[np.ix_(cond.labels, sinks)]  # hits[i, k]: node i + 1 lies in R_k
     shared = hits.sum(axis=1) > 1
@@ -136,26 +141,12 @@ def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachD
         key=lambda t: (min(t[0]), min(t[1])),
     )
     reaches, reaching, exclusive, common = zip(*sets)
-    d = len(reaches)
-
-    order: list[int] = []
-    for k in range(d):
-        order.extend(sorted(reaching[k]))
-        order.extend(sorted(exclusive[k] - reaching[k]))
-    all_common: set[int] = set()
-    for c in common:
-        all_common |= c
-    order.extend(sorted(all_common))
-
+    order = [i for u, x in zip(reaching, exclusive) for i in sorted(u) + sorted(x - u)]
     decomp = ReachDecomposition(
-        d=d,
-        reaches=reaches,
-        reaching=reaching,
-        exclusive=exclusive,
-        common=common,
-        order=tuple(order),
+        d=len(reaches), reaches=reaches, reaching=reaching, exclusive=exclusive,
+        common=common, order=(*order, *sorted(frozenset().union(*common))),
     )
-    _validate(g, decomp, positive_only)
+    _validate(decomp, cond.labels, rows, cols)
     return decomp
 
 
@@ -170,36 +161,25 @@ def permutation_matrix(decomp: ReachDecomposition) -> np.ndarray:
 
 def is_strongly_connected(g: SignedDigraph) -> bool:
     """Every node reachable from every other along stored edges (sign-agnostic)."""
-    return _strong_components(g, positive_only=False)[0] == 1
+    return _strong_components(g.n, *_edges(g, positive_only=False))[0] == 1
 
 
-def _validate(g: SignedDigraph, decomp: ReachDecomposition, positive_only: bool) -> None:
-    """Structural sanity checks applied to every computed decomposition."""
-    n = g.n
-    edges = (
-        {k for k, w in g.edges.items() if w > 0} if positive_only else set(g.edges)
-    )
-    covered: set[int] = set()
-    for k in range(decomp.d):
-        u_k, x_k, c_k = decomp.reaching[k], decomp.exclusive[k], decomp.common[k]
-        if not u_k <= x_k:
-            raise NumericsError(f"reach {k + 1}: reaching nodes escape the exclusive set")
-        if x_k & c_k:
-            raise NumericsError(f"reach {k + 1}: exclusive and common sets overlap")
-        for i in u_k:
-            for j in x_k - u_k:
-                if (i, j) in edges:
-                    raise NumericsError(f"edge ({i}, {j}) violates the reaching-block zero pattern")
-        for p in x_k:
-            for m in c_k:
-                if (p, m) in edges:
-                    raise NumericsError(f"edge ({p}, {m}) violates the exclusive/common zero pattern")
-        sub = induced_subgraph(g, sorted(u_k))
-        if positive_only:
-            pos = {kk: w for kk, w in sub.edges.items() if w > 0}
-            sub = SignedDigraph(sub.n, pos)
-        if not is_strongly_connected(sub):
-            raise NumericsError(f"reaching set {k + 1} is not strongly connected")
-        covered |= x_k | c_k
-    if covered != set(range(1, n + 1)) or len(decomp.order) != n:
+def _validate(decomp: ReachDecomposition, labels: np.ndarray,
+              rows: np.ndarray, cols: np.ndarray) -> None:
+    """Structural checks of a decomposition against the SCC labels and the kept edges."""
+    U, X, C = member = np.zeros((3, decomp.d, labels.size), dtype=bool)
+    for m, sets in zip(member, (decomp.reaching, decomp.exclusive, decomp.common)):
+        for k, nodes in enumerate(sets):
+            m[k, np.fromiter(nodes, dtype=np.intp) - 1] = True
+    if (U & ~X).any():
+        raise NumericsError("a reaching set escapes its exclusive set")
+    if (X & C).any():
+        raise NumericsError("an exclusive set overlaps a common set")
+    if not (X | C).any(axis=0).all() or len(decomp.order) != labels.size:
         raise NumericsError("decomposition does not cover the node set")
+    for k in range(decomp.d):  # a whole strong component is strongly connected
+        if not (U[k].any() and np.array_equal(labels == labels[U[k]][0], U[k])):
+            raise NumericsError(f"reaching set {k + 1} is not one strong component")
+    # no stored edge from U_k to the rest of X_k, nor from X_k to C_k
+    if (U[:, rows] & (X & ~U)[:, cols]).any() or (X[:, rows] & C[:, cols]).any():
+        raise NumericsError("an edge violates the block-triangular zero pattern")

@@ -25,7 +25,8 @@ import scipy.linalg
 
 from .errors import NumericsError, PremiseError
 from .graph import EdgePerturbation, SignedDigraph, laplacian, matrix_scale
-from .spectral import ZERO_TOL, eigenvalues, helmert_basis, reduced_laplacian
+from .spectral import (ZERO_TOL, block_spectrum, eigenvalues, helmert_basis,
+                       reduced_laplacian, spectrum_condition)
 
 logger = logging.getLogger(__name__)
 
@@ -158,16 +159,10 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     return samples
 
 
-def _spectrum_condition_holds(L: np.ndarray, values: np.ndarray) -> bool:
-    thr = ZERO_TOL * max(matrix_scale(L), 1.0)
-    near_zero = np.abs(values) < thr
-    return int(near_zero.sum()) == 1 and bool(np.all(near_zero | (values.real > thr)))
-
-
 def check_spectrum_condition(g: SignedDigraph) -> bool:
     """True iff L has exactly one zero eigenvalue and the rest lie in Re > 0."""
     L = laplacian(g)
-    return _spectrum_condition_holds(L, eigenvalues(L))
+    return spectrum_condition(block_spectrum(L), matrix_scale(L))
 
 
 def _crossing_frequencies(lbar1: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -208,8 +203,8 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     ``G(j w) = 1 / delta_c``.  Finding none raises ``NumericsError``.
     """
     L1 = laplacian(g1)
-    values = eigenvalues(L1)
-    if not _spectrum_condition_holds(L1, values):
+    values = block_spectrum(L1)
+    if not spectrum_condition(values, matrix_scale(L1)):
         raise PremiseError(
             "base Laplacian must have one zero eigenvalue and all other "
             "eigenvalues with positive real part"

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import PremiseError
 from .graph import matrix_scale
-from .spectral import ZERO_TOL, eigenvalues
+from .spectral import ZERO_TOL, block_spectrum
 
 #: states beyond this magnitude terminate the trace as diverged
 OVERFLOW_LIMIT = 1e150
@@ -32,7 +32,7 @@ def default_dt(L: np.ndarray) -> float:
 
 def default_horizon(L: np.ndarray) -> float:
     """50 time constants of the slowest stable mode, else 100."""
-    values = eigenvalues(L)
+    values = block_spectrum(L)
     thr = ZERO_TOL * max(matrix_scale(L), 1.0)
     positive = values.real[values.real > thr]
     if positive.size:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericsError, PremiseError
 from .graph import SignedDigraph, laplacian, matrix_scale
-from .reach import ReachDecomposition
+from .reach import ReachDecomposition, _strong_components
 
 #: relative threshold under which an eigenvalue counts as zero
 ZERO_TOL = 1e-9
@@ -69,9 +69,50 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
+def _diagonal_blocks(M: np.ndarray, labels: np.ndarray):
+    """Per block size, the labels c of the diagonal blocks ``M[b, b]``, ``b = labels == c``,
+    and their eigenvalues, one row per block: 1 x 1 blocks read off the diagonal, the
+    blocks of each other size in one stacked eigensolve.
+    """
+    sizes = np.bincount(labels)
+    nodes = np.lexsort((labels, sizes[labels]))  # grouped by block size, then by block
+    start = 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        idx = nodes[start:start + size * count].reshape(count, size)
+        start += size * count
+        blocks = M[idx[:, :, None], idx[:, None, :]]
+        yield labels[idx[:, 0]], blocks[:, :, 0] if size == 1 else np.linalg.eigvals(blocks)
+
+
+def block_spectrum(L: np.ndarray) -> np.ndarray:
+    """Spectrum of a Laplacian from its SCC diagonal blocks, sorted as ``eigenvalues``.
+
+    Off the diagonal ``L[i, j] != 0`` iff edge (i, j) exists, so ordered by the SCCs L
+    is block triangular, with the spectrum of its diagonal blocks.  Solved apart, an
+    eigenvalue that coupled blocks share keeps its accuracy: one whole-matrix solve
+    sees a zero of two singular blocks as defective and splits it by about
+    sqrt(machine eps) * ||L||.  The 1 x 1 blocks' eigenvalues are exact.
+    """
+    n = L.shape[0]
+    pattern = L != 0
+    np.fill_diagonal(pattern, False)
+    k, labels = _strong_components(n, *np.divmod(np.flatnonzero(pattern), n))
+    if k == 1:
+        return eigenvalues(L)
+    vals = np.concatenate([v.ravel() for _, v in _diagonal_blocks(L, labels)])
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
 def zero_multiplicity(values: np.ndarray, scale: float) -> int:
     """Number of eigenvalues within ``ZERO_TOL * max(scale, 1)`` of zero."""
     return int(np.sum(np.abs(values) < ZERO_TOL * max(scale, 1.0)))
+
+
+def spectrum_condition(values: np.ndarray, scale: float) -> bool:
+    """One eigenvalue within ``ZERO_TOL * max(scale, 1)`` of zero, the rest with Re above that."""
+    thr = ZERO_TOL * max(scale, 1.0)
+    near_zero = np.abs(values) < thr
+    return int(near_zero.sum()) == 1 and bool(np.all(near_zero | (values.real > thr)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from signedlap import NumericsError
+from signedlap import NumericsError, SignedDigraph, laplacian, matrix_scale
 from signedlap.cli import main
+from signedlap.spectral import ZERO_TOL
+
+from conftest import DEFECTIVE_ZERO
 
 DATA = Path(__file__).parent / "data"
 
@@ -253,3 +256,38 @@ def test_analyze_deterministic(capsys):
     code2, out2, _ = run(capsys, "analyze", "--graph", str(DATA / "mixed5.txt"))
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def defective_zero_file(tmp_path, v):
+    """DEFECTIVE_ZERO plus edge (13, v) of weight -3, leaving the 13-16 cycle's block singular.
+
+    The graph's Laplacian has four zeros, one per singular SCC block and no
+    eigenvalue with Re < 0; one whole-matrix eigensolve splits the zero that
+    the cycle's block shares with a sink's by about 1e-8.
+    """
+    g, _ = DEFECTIVE_ZERO
+    edges = {**g.edges, (13, v): -3.0}
+    path = tmp_path / f"defective_13_{v}.txt"
+    path.write_text(f"{g.n}\n" + "".join(f"{i} {j} {w!r}\n" for (i, j), w in edges.items()))
+    return path, matrix_scale(laplacian(SignedDigraph(g.n, edges)))
+
+
+@pytest.mark.parametrize("v", [11, 9])
+def test_analyze_counts_a_defective_zero(tmp_path, capsys, v):
+    path, scale = defective_zero_file(tmp_path, v)
+    code, out, _ = run(capsys, "analyze", "--graph", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["zero_multiplicity"] == 4
+    assert payload["spectrum_condition"] is False
+    assert min(z["re"] for z in payload["spectrum"]) >= -ZERO_TOL * scale
+
+
+def test_simulate_horizon_ignores_a_defective_zero(tmp_path, capsys):
+    # the split zero at +1.45e-8 once read as the slowest mode: 3.6e12 steps, exit 3
+    path, _ = defective_zero_file(tmp_path, 11)
+    code, out, _ = run(capsys, "simulate", "--graph", str(path))
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["horizon"] == pytest.approx(52.851, abs=1e-3)
+    assert verdict["consensus"] is False

@@ -6,7 +6,6 @@ from signedlap import (
     EdgePerturbation,
     GraphFormatError,
     SignedDigraph,
-    induced_subgraph,
     laplacian,
     parse_edge_list,
     split_signs,
@@ -146,17 +145,6 @@ def test_split_then_superpose_roundtrip():
         pos, neg = split_signs(g)
         back = superpose(pos, neg)
         assert dict(back.edges) == dict(g.edges)
-
-
-def test_induced_subgraph(reach12):
-    sub = induced_subgraph(reach12, [1, 2])
-    assert dict(sub.edges) == {(1, 2): 2.0, (2, 1): 1.0}
-    single = induced_subgraph(reach12, [5])
-    assert single.n == 1 and not single.edges
-    full = induced_subgraph(reach12, range(1, 13))
-    assert dict(full.edges) == dict(reach12.edges)
-    with pytest.raises(ValueError):
-        induced_subgraph(reach12, [1, 13])
 
 
 def test_graph_validation():

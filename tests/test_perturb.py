@@ -34,7 +34,7 @@ from signedlap.perturb import (
 )
 from signedlap.spectral import ZERO_TOL
 
-from conftest import random_multi_reach_graph
+from conftest import DEFECTIVE_ZERO, random_multi_reach_graph
 
 
 @pytest.fixture(scope="module")
@@ -287,21 +287,6 @@ def perturbed_bases(draw):
     if keys and draw(st.booleans()):
         edges[draw(st.sampled_from(keys))] = eps  # -eps on this pair cancels it exactly
     return SignedDigraph(g.n, edges), eps
-
-
-# u = 13 has one edge out of its cycle, of weight eps: every new edge (13, v) with v
-# downstream leaves the cycle's block singular, a zero coupled to the sinks' zeros
-DEFECTIVE_ZERO = (
-    SignedDigraph(16, {
-        (1, 2): 1.7739233746429086, (2, 3): 1.0395734275277406, (3, 4): 0.5819470478723894,
-        (4, 1): 0.5330552710570582, (5, 6): 2.126540478400545, (6, 7): 2.3255111545554437,
-        (7, 8): 1.7132715515343597, (8, 5): 1.9589931219679968, (9, 10): 1.5872499829308457,
-        (10, 11): 2.3701448475755367, (11, 12): 2.1317071082430643, (12, 9): 0.5054770003402962,
-        (13, 14): 2.2148085531751387, (14, 15): 0.5671711506109287, (15, 16): 1.9593108928598881,
-        (16, 13): 0.851311241205118, (13, 1): 3.0,
-    }),
-    3.0,
-)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from signedlap import (
     reachable_set,
     zero_multiplicity,
 )
+from signedlap.reach import _validate, condensation
 from signedlap.spectral import eigenvalues
 
 from conftest import random_multi_reach_graph, random_premise_graph
@@ -174,15 +176,42 @@ def test_reach_count_matches_kernel_dimension():
         assert reach_decomposition(g).d == 1
 
 
-def test_validation_catches_inconsistency():
-    # reaching blocks of a decomposition must be strongly connected; feeding a
-    # broken graph through the internal validator is exercised via the public
-    # API on a healthy graph (no exception) only.
-    g = SignedDigraph(2, {(1, 2): 1.0})
-    d = reach_decomposition(g)
-    assert d.d == 1
-    assert sorted(d.reaching[0]) == [2]
-    assert isinstance(NumericsError("x"), RuntimeError)
+def test_validation_catches_inconsistency(reach12):
+    d = reach_decomposition(reach12)
+    labels = condensation(reach12).labels
+    rows, cols = np.nonzero(reach12.adjacency())
+    _validate(d, labels, rows, cols)
+    fs = frozenset
+    for match, bad in (
+        ("escapes", replace(d, reaching=(fs({1, 2, 8}), fs({3}), fs({7})))),
+        ("overlaps", replace(d, exclusive=(fs({1, 2, 8}), fs({3, 4, 5}), fs({6, 7})))),
+        ("cover", replace(d, common=(fs(), fs(), fs()))),
+        ("cover", replace(d, order=d.order[:-1])),
+        ("reaching set 1 is not one strong component",
+         replace(d, reaching=(fs({1}), fs({3}), fs({7})))),
+        ("reaching set 3 is not one strong component",
+         replace(d, reaching=(fs({1, 2}), fs({3}), fs()))),
+    ):
+        with pytest.raises(NumericsError, match=match):
+            _validate(bad, labels, rows, cols)
+    # an edge out of U_2 = {3} into X_2, and one from X_2 into the common set
+    for i, j in ((3, 4), (4, 8)):
+        with pytest.raises(NumericsError, match="zero pattern"):
+            _validate(d, labels, np.append(rows, i - 1), np.append(cols, j - 1))
+
+
+def test_condensation_rejects_labels_out_of_topological_order(reach12, monkeypatch):
+    import signedlap.reach as reach_mod
+
+    found = reach_mod.connected_components
+
+    def reversed_labels(*args, **kwargs):
+        k, labels = found(*args, **kwargs)
+        return k, k - 1 - labels
+
+    monkeypatch.setattr(reach_mod, "connected_components", reversed_labels)
+    with pytest.raises(NumericsError, match="scipy .* topological order"):
+        condensation(reach12)
 
 
 def bfs_reachable_sets(g, positive_only):

@@ -373,7 +373,7 @@ FLAT_CROSSING = (SignedDigraph(12, {
 def test_delta_star_matches_bisection_oracle_property(case):
     g, pert = case
     result = delta_star(g, pert)
-    oracle = bisection_delta_star(g, pert, exact=True)
+    oracle = bisection_delta_star(g, pert)
     if result.regime == REGIME_NECESSARY_AND_SUFFICIENT:
         assert abs(result.delta_star - oracle) < 1e-6 * max(result.delta_star, 1.0)
     else:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
     PremiseError,
     SignedDigraph,
+    block_spectrum,
     eigenvalues,
     helmert_basis,
     householder_basis,
@@ -15,8 +18,10 @@ from signedlap import (
     null_right_vectors,
     reach_decomposition,
     reduced_laplacian,
+    spectrum_condition,
     zero_multiplicity,
 )
+from signedlap.perturb import match_predictions
 
 from conftest import random_multi_reach_graph, random_premise_graph, random_signed_digraph
 
@@ -208,3 +213,51 @@ def test_null_vectors_reject_negative_weights(mixed5):
         null_right_vectors(mixed5, decomp)
     with pytest.raises(PremiseError):
         null_left_vectors(mixed5, decomp)
+
+
+@st.composite
+def continuous_signed_digraphs(draw):
+    """Random signed digraphs, weights of either sign drawn from a continuous range.
+
+    Generic weights leave every non-sink SCC block nonsingular, so no zero
+    is defective and the whole-matrix solve is an accurate reference.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 15))
+    edges = {}
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = (int(x) for x in rng.integers(1, n + 1, size=2))
+        if i != j:
+            edges[(i, j)] = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.5))
+    return SignedDigraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(continuous_signed_digraphs())
+def test_block_spectrum_matches_full_eigensolve(g):
+    L = laplacian(g)
+    got = block_spectrum(L)
+    assert got.shape == (g.n,)
+    assert np.all(np.diff(got.real) >= 0)
+    assert match_predictions(got, np.linalg.eigvals(L)) <= 1e-9 * max(matrix_scale(L), 1.0)
+
+
+def test_block_spectrum_counts_singular_blocks():
+    # sinks {1, 2} and {3}; the 4-5 cycle's block is singular too, as its one edge
+    # out (4, 1) is cancelled by (4, 3); node 6's block is 1 x 1 and stable
+    g = SignedDigraph(6, {(1, 2): 1.0, (2, 1): 2.0, (4, 5): 1.5, (5, 4): 0.5,
+                          (4, 1): 2.0, (4, 3): -2.0, (6, 4): 1.0})
+    L = laplacian(g)
+    values = block_spectrum(L)
+    assert zero_multiplicity(values, matrix_scale(L)) == 3
+    assert not spectrum_condition(values, matrix_scale(L))
+    assert_allclose(np.sort(values.real), [0.0, 0.0, 0.0, 1.0, 2.0, 3.0], atol=1e-12)
+
+
+def test_spectrum_condition():
+    assert spectrum_condition(np.array([0.0, 1.0, 2 + 1j, 2 - 1j]), 1.0)
+    assert not spectrum_condition(np.array([0.0, 0.0, 1.0]), 1.0)  # two zeros
+    assert not spectrum_condition(np.array([0.0, -1.0, 1.0]), 1.0)  # Re < 0
+    assert not spectrum_condition(np.array([0.0, 1e-3j, -1e-3j]), 1.0)  # Re = 0, off zero
+    assert not spectrum_condition(np.array([1.0, 2.0]), 1.0)  # no zero
+    assert spectrum_condition(np.array([5e-9, 1.0]), 10.0)  # within 1e-9 * scale
