@@ -7,7 +7,6 @@ from .graph import (
     laplacian,
     matrix_scale,
     parse_edge_list,
-    split_signs,
     superpose,
 )
 from .perturb import (
@@ -18,21 +17,18 @@ from .perturb import (
     sensitive_pairs,
     theta_matrix,
     verify_sensitive_pairs,
-    verify_sensitivity,
 )
 from .reach import (
     Condensation,
     ReachDecomposition,
     condensation,
     is_strongly_connected,
-    permutation_matrix,
     reach_decomposition,
     reachable_set,
 )
 from .robustness import (
     DeltaStarResult,
     EffectiveResistance,
-    FrequencyGrid,
     TransferSample,
     check_spectrum_condition,
     delta_star,
@@ -40,7 +36,6 @@ from .robustness import (
     effective_resistance_undirected,
     nyquist_sweep,
     r_value,
-    rank_one_spectrum_check,
     solve_lyapunov,
 )
 from .simulate import SimulationTrace, consensus_reached, simulate
@@ -49,10 +44,7 @@ from .spectral import (
     block_spectrum,
     eigenvalues,
     helmert_basis,
-    householder_basis,
     null_basis,
-    null_left_vectors,
-    null_right_vectors,
     reduced_laplacian,
     spectrum_condition,
     zero_multiplicity,

@@ -66,7 +66,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "zero_multiplicity": zero_multiplicity(values, scale),
         "spectrum_condition": spectrum_condition(values, scale),
         "decomposition": report.decomposition_json(decomp),
-        "null_basis": report.null_basis_json(null_basis(g, decomp)) if g.nonnegative else None,
+        "null_basis": report.null_basis_json(null_basis(L, decomp)) if g.nonnegative else None,
     }
     _emit(report.dumps(payload), args.out)
     return EXIT_OK

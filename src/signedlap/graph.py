@@ -17,12 +17,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, PremiseError
 
 Edge = tuple[int, int]
 
 #: weights whose magnitude falls below this are treated as absent edges
 CANCEL_TOL = 1e-12
+
+#: largest dense n x n float64 Laplacian a parsed graph may need, in bytes (n <= 11585)
+MAX_LAPLACIAN_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class EdgePerturbation:
     """Negative perturbation of the node pair (u, v).
 
     Adds weights ``-delta * q_uv`` on edge (u, v) and ``-delta * q_vu`` on
-    (v, u); direction gains are nonnegative and at least one must be positive.
+    (v, u); all three are finite, direction gains are nonnegative and at least
+    one must be positive.
     """
 
     u: int
@@ -79,6 +83,9 @@ class EdgePerturbation:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ValueError("perturbation endpoints must differ")
+        for name in ("q_uv", "q_vu", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.q_uv < 0 or self.q_vu < 0:
             raise ValueError("direction gains must be nonnegative")
         if self.q_uv == 0 and self.q_vu == 0:
@@ -94,15 +101,6 @@ class EdgePerturbation:
         if self.delta * self.q_vu >= CANCEL_TOL:
             edges[(self.v, self.u)] = -self.delta * self.q_vu
         return SignedDigraph(n, edges)
-
-    def laplacian(self, n: int) -> np.ndarray:
-        """Rank-one Laplacian -(d_uv e_u - d_vu e_v)(e_u - e_v)^T."""
-        eu = np.zeros(n)
-        ev = np.zeros(n)
-        eu[self.u - 1] = 1.0
-        ev[self.v - 1] = 1.0
-        lead = self.delta * self.q_uv * eu - self.delta * self.q_vu * ev
-        return -np.outer(lead, eu - ev)
 
 
 def parse_edge_list(text: str) -> SignedDigraph:
@@ -125,6 +123,11 @@ def parse_edge_list(text: str) -> SignedDigraph:
                 raise GraphFormatError(f"line {lineno}: expected node count, got {line!r}")
             if n < 1:
                 raise GraphFormatError(f"line {lineno}: node count must be >= 1")
+            if 8 * n * n > MAX_LAPLACIAN_BYTES:
+                raise PremiseError(
+                    f"line {lineno}: {n} nodes need a {8 * n * n / 2**30:.3g} GiB Laplacian, "
+                    f"above the {MAX_LAPLACIAN_BYTES / 2**30:g} GiB limit (MAX_LAPLACIAN_BYTES)"
+                )
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -176,11 +179,3 @@ def superpose(g1: SignedDigraph, g2: SignedDigraph) -> SignedDigraph:
         else:
             out[key] = s
     return SignedDigraph(g1.n, out)
-
-
-def split_signs(g: SignedDigraph) -> tuple[SignedDigraph, SignedDigraph]:
-    """Split into the positive-edge subgraph and the negative-edge subgraph."""
-    pos = {k: w for k, w in g.edges.items() if w > 0}
-    neg = {k: w for k, w in g.edges.items() if w < 0}
-    return SignedDigraph(g.n, pos), SignedDigraph(g.n, neg)
-

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.optimize
 
 from .errors import PremiseError
 from .graph import CANCEL_TOL, SignedDigraph, laplacian
@@ -200,21 +199,3 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
         rest = block_low[~merged].min(initial=np.inf)
         out.append(bool(min(low, rest) < -thr))
     return out
-
-
-def verify_sensitivity(g1: SignedDigraph, pair: tuple[int, int], eps: float = 1e-4) -> bool:
-    """One-pair form of ``verify_sensitive_pairs``."""
-    return verify_sensitive_pairs(g1, [pair], eps)[0]
-
-
-def match_predictions(predicted: np.ndarray, exact: np.ndarray) -> float:
-    """Max pairing distance between two eigenvalue groups (min-weight matching)."""
-    cost = np.abs(predicted[:, None] - exact[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-
-
-def zero_group(values: np.ndarray, d: int) -> np.ndarray:
-    """The d eigenvalues of smallest modulus (the perturbed zero group)."""
-    idx = np.argsort(np.abs(values))[:d]
-    return values[idx]

@@ -150,15 +150,6 @@ def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachD
     return decomp
 
 
-def permutation_matrix(decomp: ReachDecomposition) -> np.ndarray:
-    """P such that P A P^T is the block form (position k reads node order[k])."""
-    n = len(decomp.order)
-    P = np.zeros((n, n))
-    for pos, node in enumerate(decomp.order):
-        P[pos, node - 1] = 1.0
-    return P
-
-
 def is_strongly_connected(g: SignedDigraph) -> bool:
     """Every node reachable from every other along stored edges (sign-agnostic)."""
     return _strong_components(g.n, *_edges(g, positive_only=False))[0] == 1

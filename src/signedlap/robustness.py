@@ -44,32 +44,14 @@ OMEGA_ZERO_FACTOR = 1e-8
 SWEEP_PIVOT_RTOL = 1e-13
 #: sweep frequencies back-substituted together, bounding the workspace
 SWEEP_CHUNK = 256
+#: the sweep samples w = 0 and this many log-spaced frequencies between
+#: SWEEP_LO and SWEEP_HI times the spectral radius of Lbar1
+SWEEP_POINTS = 2000
+SWEEP_LO = 1e-6
+SWEEP_HI = 1e4
 
 REGIME_NECESSARY_AND_SUFFICIENT = "NecessaryAndSufficient"
 REGIME_SUFFICIENT_ONLY = "SufficientOnly"
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Logarithmic frequency grid, with w = 0 prepended exactly."""
-
-    lo: float
-    hi: float
-    points: int = 2000
-
-    @classmethod
-    def for_system(cls, lbar1: np.ndarray, points: int = 2000,
-                   lo_factor: float = 1e-6, hi_factor: float = 1e4) -> "FrequencyGrid":
-        s = float(np.abs(eigenvalues(lbar1)).max())
-        s = max(s, 1e-30)
-        return cls(lo=lo_factor * s, hi=hi_factor * s, points=points)
-
-    def omegas(self) -> np.ndarray:
-        if not (0 < self.lo < self.hi) or self.points < 2:
-            raise ValueError("grid needs 0 < lo < hi and at least 2 points")
-        return np.concatenate(
-            [[0.0], np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)]
-        )
 
 
 @dataclass(frozen=True)
@@ -124,20 +106,25 @@ def r_value(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     return complex(c @ x)
 
 
+def _sweep_omegas(radius: float) -> np.ndarray:
+    """w = 0, then ``SWEEP_POINTS`` log-spaced frequencies from SWEEP_LO to SWEEP_HI x radius."""
+    radius = max(radius, 1e-30)
+    return np.concatenate([[0.0], np.logspace(math.log10(SWEEP_LO * radius),
+                                              math.log10(SWEEP_HI * radius), SWEEP_POINTS)])
+
+
 def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
-                  q_uv: float, q_vu: float,
-                  grid: FrequencyGrid | None = None) -> list[TransferSample]:
-    """Sample the transfer map over the grid, ending with the w -> inf limit 0.
+                  q_uv: float, q_vu: float) -> list[TransferSample]:
+    """Sample the transfer map over ``_sweep_omegas``, ending with the w -> inf limit 0.
 
     Back-substitutes ``T - j w I`` of one complex Schur form ``Z T Z^H`` of
-    Lbar1 for a chunk of frequencies at once (Laub 1981); samples on an
-    eigenvalue are skipped with a warning.
+    Lbar1 for a chunk of frequencies at once (Laub 1981); the grid scales with
+    the spectral radius max |T_ii|, and samples on an eigenvalue are skipped
+    with a warning.
     """
-    if grid is None:
-        grid = FrequencyGrid.for_system(lbar1)
-    omegas = grid.omegas()
     b, c = _input_vectors(Q, u, v, q_uv, q_vu)
     T, Z = scipy.linalg.schur(lbar1, output="complex")
+    omegas = _sweep_omegas(float(np.abs(np.diag(T)).max()))
     bt, ct = Z.conj().T @ b, Z.T @ c
     tol = SWEEP_PIVOT_RTOL * max(matrix_scale(lbar1), 1.0)
     samples: list[TransferSample] = []
@@ -202,6 +189,9 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     grows, so the condition fails at some finite delta_c, where
     ``G(j w) = 1 / delta_c``.  Finding none raises ``NumericsError``.
     """
+    Q = helmert_basis(g1.n)
+    u, v, q_uv, q_vu = pert.u, pert.v, pert.q_uv, pert.q_vu
+    b, c = _input_vectors(Q, u, v, q_uv, q_vu)
     L1 = laplacian(g1)
     values = block_spectrum(L1)
     if not spectrum_condition(values, matrix_scale(L1)):
@@ -211,10 +201,7 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
         )
     # Lbar1 has the spectrum of L1 less one zero, so the same magnitude
     omega_zero = OMEGA_ZERO_FACTOR * max(float(np.abs(values).max()), 1.0)
-    Q = helmert_basis(g1.n)
     lbar1 = reduced_laplacian(L1, Q)
-    u, v, q_uv, q_vu = pert.u, pert.v, pert.q_uv, pert.q_vu
-    b, c = _input_vectors(Q, u, v, q_uv, q_vu)
 
     crossings = [(omega, r_value(lbar1, Q, u, v, q_uv, q_vu, omega).real)
                  for omega in (0.0, *_crossing_frequencies(lbar1, b, c, omega_zero).tolist())]
@@ -236,44 +223,6 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
         regime=REGIME_NECESSARY_AND_SUFFICIENT if omega_star == 0.0 else REGIME_SUFFICIENT_ONLY,
         necessary_bound=necessary,
     )
-
-
-def rank_one_spectrum_check(lbar1: np.ndarray, lbar: np.ndarray, Q: np.ndarray,
-                            u: int, v: int, pert: EdgePerturbation,
-                            tol: float = 1e-8) -> float:
-    """Consistency diagnostic: the spectrum of Lbar1^-1 Lbar must be {1 x (N-2), 1 - r}.
-
-    Also exercises the rank-one determinant identity.  Returns ``1 - r`` with
-    ``r`` the static response to the perturbation gains scaled by its delta.
-    A failure indicates a construction or numerical bug, not a property of
-    the input graph.
-    """
-    d_uv = pert.delta * pert.q_uv
-    d_vu = pert.delta * pert.q_vu
-    r = r_value(lbar1, Q, u, v, d_uv, d_vu, 0.0).real
-    try:
-        M = np.linalg.solve(lbar1, lbar)
-    except np.linalg.LinAlgError as exc:
-        raise PremiseError("reduced base Laplacian is singular") from exc
-    values = eigenvalues(M)
-    expected = 1.0 - r
-    dist_one = np.abs(values - 1.0)
-    keep = np.argsort(dist_one)[:-1] if values.size > 1 else np.array([], dtype=int)
-    outlier = np.argsort(dist_one)[-1]
-    if values.size > 1 and dist_one[keep].max() > tol:
-        raise NumericsError("rank-one spectrum check failed: repeated eigenvalue is not 1")
-    if abs(values[outlier] - expected) > tol * max(1.0, abs(expected)):
-        raise NumericsError(
-            f"rank-one spectrum check failed: {values[outlier]:.12g} != {expected:.12g}"
-        )
-    sign1, logdet1 = np.linalg.slogdet(lbar1)
-    sign2, logdet2 = np.linalg.slogdet(lbar)
-    if abs(expected) > 1e-10:
-        lhs = sign2, logdet2
-        rhs = sign1 * math.copysign(1.0, expected), logdet1 + math.log(abs(expected))
-        if lhs[0] != rhs[0] or abs(lhs[1] - rhs[1]) > 1e-6 * max(1.0, abs(rhs[1])):
-            raise NumericsError("rank-one determinant identity violated")
-    return expected
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 The reduced Laplacian ``Lbar = Q L Q^T`` acts on the subspace orthogonal to
 the all-ones vector; its spectrum equals the spectrum of ``L`` with one zero
-removed.  ``Q`` is fixed to the Helmert construction for reproducibility; a
-Householder-based alternative exists for basis-invariance checks.
+removed.  ``Q`` is fixed to the Helmert construction for reproducibility.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, PremiseError
-from .graph import SignedDigraph, laplacian, matrix_scale
+from .graph import matrix_scale
 from .reach import ReachDecomposition, _strong_components
 
 #: relative threshold under which an eigenvalue counts as zero
@@ -33,20 +32,6 @@ def helmert_basis(n: int) -> np.ndarray:
         Q[i - 1, i] = -float(i)
         Q[i - 1] /= np.sqrt(i * (i + 1))
     return Q
-
-
-def householder_basis(n: int) -> np.ndarray:
-    """Alternative orthonormal basis of span{1}^perp via a Householder reflector.
-
-    Used only to check that reduced-spectrum results do not depend on the
-    particular choice of Q.
-    """
-    if n < 2:
-        raise ValueError(f"projection basis needs n >= 2, got {n}")
-    w = np.ones(n) / np.sqrt(n)
-    w[0] -= 1.0
-    H = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
-    return H[1:, :]
 
 
 def reduced_laplacian(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -130,20 +115,24 @@ class NullBasis:
     mus: np.ndarray  # shape (d, n)
 
 
-def null_right_vectors(g: SignedDigraph, decomp: ReachDecomposition) -> np.ndarray:
-    """Right zero-eigenvectors, one per reach.
+def null_basis(L: np.ndarray, decomp: ReachDecomposition) -> NullBasis:
+    """Right and left zero-eigenvectors of a nonnegative-weight Laplacian, one per reach.
 
-    Exclusive entries are set to 1, entries outside the reach to 0, and the
+    Right vectors are 1 on the exclusive entries and 0 outside the reach; the
     common entries solve ``L_CC x = -L_{C,X} 1`` (LU with partial pivoting).
+    Left vectors sum to 1 on U_k: the U_k diagonal block of L is the Laplacian
+    of a strongly connected subgraph, so its left kernel is one-dimensional,
+    found by LU on the transposed block with the last row replaced by the
+    normalization row.
     """
-    if not g.nonnegative:
-        raise PremiseError("right null vectors require nonnegative weights")
-    L = laplacian(g)
-    out = np.zeros((decomp.d, g.n))
+    if (L[~np.eye(L.shape[0], dtype=bool)] > 0).any():
+        raise PremiseError("null vectors require nonnegative weights")
+    scale = matrix_scale(L)
+    gammas = np.zeros((decomp.d, L.shape[0]))
+    mus = np.zeros((decomp.d, L.shape[0]))
     for k in range(decomp.d):
-        gamma = out[k]
-        for i in decomp.exclusive[k]:
-            gamma[i - 1] = 1.0
+        gamma = gammas[k]
+        gamma[[i - 1 for i in decomp.exclusive[k]]] = 1.0
         c_idx = [i - 1 for i in sorted(decomp.common[k])]
         if c_idx:
             x_idx = [i - 1 for i in sorted(decomp.exclusive[k])]
@@ -154,21 +143,6 @@ def null_right_vectors(g: SignedDigraph, decomp: ReachDecomposition) -> np.ndarr
                 raise NumericsError(
                     f"common block of reach {k + 1} is singular"
                 ) from exc
-    return out
-
-
-def null_left_vectors(g: SignedDigraph, decomp: ReachDecomposition) -> np.ndarray:
-    """Left zero-eigenvectors, one per reach, each summing to 1 on its U_k.
-
-    The U_k diagonal block of L is the Laplacian of a strongly connected
-    subgraph, so its left kernel is one-dimensional; it is computed by LU on
-    the transposed block with the last row replaced by the normalization row.
-    """
-    if not g.nonnegative:
-        raise PremiseError("left null vectors require nonnegative weights")
-    L = laplacian(g)
-    scale = matrix_scale(L)
-    out = np.zeros((decomp.d, g.n))
     for k in range(decomp.d):
         u_idx = [i - 1 for i in sorted(decomp.reaching[k])]
         block = L[np.ix_(u_idx, u_idx)]
@@ -188,14 +162,5 @@ def null_left_vectors(g: SignedDigraph, decomp: ReachDecomposition) -> np.ndarra
                 f"reaching block of reach {k + 1} has kernel dimension != 1 "
                 f"(residual {residual:.3e})"
             )
-        out[k, u_idx] = nu
-    return out
-
-
-def null_basis(g: SignedDigraph, decomp: ReachDecomposition) -> NullBasis:
-    """Convenience wrapper bundling both zero-eigenvalue bases."""
-    return NullBasis(
-        d=decomp.d,
-        gammas=null_right_vectors(g, decomp),
-        mus=null_left_vectors(g, decomp),
-    )
+        mus[k, u_idx] = nu
+    return NullBasis(d=decomp.d, gammas=gammas, mus=mus)

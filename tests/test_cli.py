@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import signedlap
 from signedlap import NumericsError, SignedDigraph, laplacian, matrix_scale
 from signedlap.cli import main
 from signedlap.spectral import ZERO_TOL
@@ -82,6 +85,46 @@ def test_delta_star_premise_exit_code(capsys):
     )
     assert code == 3
     assert "error" in err
+
+
+def test_delta_star_checks_the_pair_before_the_premise(tmp_path, capsys):
+    path = tmp_path / "two_sinks.txt"
+    path.write_text("3\n1 2 1\n")  # two zeros: no premise, but the pair is reported first
+    code, out, err = run(capsys, "delta-star", "--graph", str(path), "--pair", "1", "9")
+    assert code == 2 and out == ""
+    assert "out of range" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("simulate", "--pair", "1", "3", "--delta", "nan"), "delta"),
+    (("simulate", "--pair", "1", "3", "--gains", "nan", "1", "--delta", "1"), "q_uv"),
+    (("delta-star", "--pair", "1", "3", "--gains", "inf", "1"), "q_uv"),
+])
+def test_non_finite_perturbation_exit_code(capsys, argv, field):
+    code, out, err = run(capsys, argv[0], "--graph", str(DATA / "triangle.txt"), *argv[1:])
+    assert code == 2 and out == ""
+    assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("n", [10**5, 10**9])
+def test_oversized_node_count_exit_code(tmp_path, capsys, n):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{n}\n1 2 1\n")
+    for command, *extra in (("analyze",), ("delta-star", "--pair", "1", "2"), ("sensitive",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--graph", str(path), *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "MAX_LAPLACIAN_BYTES" in err
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(signedlap.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import signedlap.cli; "
+             "print('scipy.optimize' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

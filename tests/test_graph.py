@@ -5,14 +5,15 @@ from numpy.testing import assert_allclose
 from signedlap import (
     EdgePerturbation,
     GraphFormatError,
+    PremiseError,
     SignedDigraph,
     laplacian,
     parse_edge_list,
-    split_signs,
     superpose,
 )
 
 from conftest import random_signed_digraph
+from helpers import split_signs
 
 
 def test_parse_reference_graph(reach12):
@@ -147,6 +148,13 @@ def test_split_then_superpose_roundtrip():
         assert dict(back.edges) == dict(g.edges)
 
 
+def test_parse_refuses_oversized_node_count():
+    assert parse_edge_list("11585\n").n == 11585  # an 8 * 11585^2-byte Laplacian fits
+    for n in (11586, 10**9):
+        with pytest.raises(PremiseError, match="MAX_LAPLACIAN_BYTES"):
+            parse_edge_list(f"{n}\n1 2 1\n")
+
+
 def test_graph_validation():
     with pytest.raises(GraphFormatError):
         SignedDigraph(2, {(1, 1): 1.0})
@@ -163,8 +171,11 @@ def test_edge_perturbation():
         EdgePerturbation(1, 2, q_uv=0.0, q_vu=0.0)
     with pytest.raises(ValueError):
         EdgePerturbation(1, 2, q_uv=-1.0)
+    for field in ("q_uv", "q_vu", "delta"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=field):
+                EdgePerturbation(1, 2, **{field: bad})
     pert = EdgePerturbation(1, 2, q_uv=1.0, q_vu=0.5, delta=2.0)
     g = pert.graph(3)
     assert dict(g.edges) == {(1, 2): -2.0, (2, 1): -1.0}
-    assert_allclose(pert.laplacian(3), laplacian(g), atol=1e-12)
     assert not EdgePerturbation(1, 2, delta=0.0).graph(3).edges

@@ -18,7 +18,6 @@ from signedlap import (
     superpose,
     theta_matrix,
     verify_sensitive_pairs,
-    verify_sensitivity,
 )
 from signedlap.graph import CANCEL_TOL
 from signedlap.perturb import (
@@ -29,12 +28,11 @@ from signedlap.perturb import (
     CLASS_REMARK4B,
     SIGN_NEGATIVE,
     SIGN_ZERO,
-    match_predictions,
-    zero_group,
 )
 from signedlap.spectral import ZERO_TOL
 
 from conftest import DEFECTIVE_ZERO, random_multi_reach_graph
+from helpers import match_predictions, zero_group
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +42,7 @@ def uniform_decomp(reach12_uniform):
 
 @pytest.fixture(scope="module")
 def uniform_basis(reach12_uniform, uniform_decomp):
-    return null_basis(reach12_uniform, uniform_decomp)
+    return null_basis(laplacian(reach12_uniform), uniform_decomp)
 
 
 def test_classify_reference_pairs(uniform_decomp):
@@ -107,7 +105,7 @@ def test_theta_sign_table_random():
             rng, blocks=int(rng.integers(2, 4)), block_size=int(rng.integers(1, 4))
         )
         decomp = reach_decomposition(g1)
-        basis = null_basis(g1, decomp)
+        basis = null_basis(laplacian(g1), decomp)
         u, v = rng.integers(1, g1.n + 1, size=2)
         u, v = int(u), int(v)
         if u == v or (u, v) in g1.edges:
@@ -130,7 +128,7 @@ def test_theta_trace_nonpositive_strict_iff_sensitive():
     while done < 20:
         g1 = random_multi_reach_graph(rng, blocks=2, block_size=int(rng.integers(1, 4)))
         decomp = reach_decomposition(g1)
-        basis = null_basis(g1, decomp)
+        basis = null_basis(laplacian(g1), decomp)
         edges = {}
         for _ in range(int(rng.integers(1, 4))):
             u, v = rng.integers(1, g1.n + 1, size=2)
@@ -173,7 +171,7 @@ def test_first_order_error_shrinks_linearly():
     while done < 6:
         g1 = random_multi_reach_graph(rng, blocks=2, block_size=int(rng.integers(2, 4)))
         decomp = reach_decomposition(g1)
-        basis = null_basis(g1, decomp)
+        basis = null_basis(laplacian(g1), decomp)
         u, v = rng.integers(1, g1.n + 1, size=2)
         u, v = int(u), int(v)
         if u == v or (u, v) in g1.edges:
@@ -212,7 +210,7 @@ def test_sensitive_pairs_two_cycles():
     assert got == expected
     for p in pairs:
         assert p.kind == CLASS_COND1
-        assert verify_sensitivity(g, (p.u, p.v), eps=1e-6)
+        assert verify_sensitive_pairs(g, [(p.u, p.v)], eps=1e-6) == [True]
 
 
 def test_sensitive_pairs_single_reach_errors():
@@ -222,10 +220,10 @@ def test_sensitive_pairs_single_reach_errors():
 
 
 def test_verify_sensitivity_reference(reach12_uniform):
-    assert verify_sensitivity(reach12_uniform, (1, 4), eps=1e-4)
-    assert verify_sensitivity(reach12_uniform, (7, 9), eps=1e-4)
+    for pair in ((1, 4), (7, 9)):
+        assert verify_sensitive_pairs(reach12_uniform, [pair], eps=1e-4) == [True]
     for pair in ((3, 4), (7, 6), (6, 5), (4, 8)):
-        assert not verify_sensitivity(reach12_uniform, pair, eps=1e-4)
+        assert verify_sensitive_pairs(reach12_uniform, [pair], eps=1e-4) == [False]
 
 
 def test_large_negative_weights_flip_insensitive_pairs(reach12_uniform):

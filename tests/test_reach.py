@@ -13,7 +13,6 @@ from signedlap import (
     is_strongly_connected,
     laplacian,
     matrix_scale,
-    permutation_matrix,
     reach_decomposition,
     reachable_set,
     zero_multiplicity,
@@ -22,6 +21,7 @@ from signedlap.reach import _validate, condensation
 from signedlap.spectral import eigenvalues
 
 from conftest import random_multi_reach_graph, random_premise_graph
+from helpers import permutation_matrix
 
 
 def closure_oracle(g):

@@ -13,7 +13,7 @@ from signedlap.report import (
     sweep_csv,
     trace_csv,
 )
-from signedlap.robustness import DeltaStarResult, FrequencyGrid, TransferSample
+from signedlap.robustness import DeltaStarResult, TransferSample
 from signedlap.simulate import SimulationTrace
 
 
@@ -74,15 +74,14 @@ def test_r_value_singular_system():
 
 
 def test_nyquist_sweep_skips_singular_points(caplog):
-    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    singular = np.diag([0.0, 1.0])  # its zero pivot vanishes at the w = 0 sample
     Q = np.array([[1 / np.sqrt(2), -1 / np.sqrt(2), 0.0],
                   [1 / np.sqrt(6), 1 / np.sqrt(6), -2 / np.sqrt(6)]])
-    grid = FrequencyGrid(lo=0.5, hi=2.0, points=5)
-    omegas = grid.omegas()
-    assert any(abs(w - 1.0) < 1e-12 for w in omegas)
     with caplog.at_level("WARNING"):
-        samples = nyquist_sweep(rotation, Q, 1, 2, 1.0, 0.0, grid=grid)
-    assert len(samples) == len(omegas)  # one dropped, asymptote appended
+        samples = nyquist_sweep(singular, Q, 1, 2, 1.0, 0.0)
+    omegas = [s.omega for s in samples]
+    assert len(samples) == 2001  # w = 0 dropped from 2001 samples, asymptote appended
+    assert 0.0 not in omegas and omegas[-1] == math.inf
     assert "singular" in caplog.text
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -16,11 +17,9 @@ from signedlap import (
     effective_resistance_directed,
     effective_resistance_undirected,
     helmert_basis,
-    householder_basis,
     laplacian,
     nyquist_sweep,
     r_value,
-    rank_one_spectrum_check,
     reduced_laplacian,
     solve_lyapunov,
     superpose,
@@ -29,10 +28,11 @@ import signedlap.robustness as robustness
 from signedlap.robustness import (
     REGIME_NECESSARY_AND_SUFFICIENT,
     REGIME_SUFFICIENT_ONLY,
-    FrequencyGrid,
+    _sweep_omegas,
 )
 
 from conftest import bisection_delta_star, random_premise_graph
+from helpers import householder_basis, rank_one_spectrum_check
 
 
 def lbar_of(g):
@@ -311,14 +311,13 @@ def test_directed_resistance_differs_from_inverse_form():
 
 
 def test_frequency_grid_contract():
-    grid = FrequencyGrid(lo=1e-3, hi=1e3, points=10)
-    om = grid.omegas()
-    assert om[0] == 0.0
-    assert len(om) == 11
-    assert om[1] == pytest.approx(1e-3)
-    assert om[-1] == pytest.approx(1e3)
-    with pytest.raises(ValueError):
-        FrequencyGrid(lo=0.0, hi=1.0).omegas()
+    for radius in (1e-3, 1.0, 250.0):
+        om = _sweep_omegas(radius)
+        assert om[0] == 0.0
+        assert len(om) == 2001
+        assert om[1] == pytest.approx(1e-6 * radius, rel=1e-12)
+        assert om[-1] == pytest.approx(1e4 * radius, rel=1e-12)
+        assert np.all(np.diff(om) > 0)
 
 
 GAIN_PATTERNS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
@@ -416,7 +415,8 @@ def test_nyquist_sweep_matches_r_value(case):
     g, pert = case
     lbar, Q = lbar_of(g)
     samples = nyquist_sweep(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu)
-    assert [s.omega for s in samples[:-1]] == list(FrequencyGrid.for_system(lbar).omegas())
+    radius = np.abs(np.diag(scipy.linalg.schur(lbar, output="complex")[0])).max()
+    assert [s.omega for s in samples[:-1]] == list(_sweep_omegas(radius))
     assert samples[0].value.imag == 0.0
     got = np.array([s.value for s in samples[:-1]])
     want = np.array([r_value(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu, s.omega)

@@ -75,7 +75,7 @@ def test_consensus_from_agreement():
 
 def test_left_null_functional_conserved(reach12):
     L = laplacian(reach12)
-    basis = null_basis(reach12, reach_decomposition(reach12))
+    basis = null_basis(L, reach_decomposition(reach12))
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1, 1, 12)
     trace = simulate(L, x0, dt=default_dt(L), horizon=5.0)
