@@ -24,8 +24,17 @@ Edge = tuple[int, int]
 #: weights whose magnitude falls below this are treated as absent edges
 CANCEL_TOL = 1e-12
 
-#: largest dense n x n float64 Laplacian a parsed graph may need, in bytes (n <= 11585)
+#: largest dense n x n float64 Laplacian a graph may need, in bytes (n <= 11585)
 MAX_LAPLACIAN_BYTES = 2**30
+
+
+def _refuse_large(n: int, where: str = "") -> None:
+    """Refuse a node count whose dense Laplacian would exceed ``MAX_LAPLACIAN_BYTES``."""
+    if 8 * n * n > MAX_LAPLACIAN_BYTES:
+        raise PremiseError(
+            f"{where}{n} nodes need a {8 * n * n / 2**30:.3g} GiB Laplacian, "
+            f"above the {MAX_LAPLACIAN_BYTES / 2**30:g} GiB limit (MAX_LAPLACIAN_BYTES)"
+        )
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,7 @@ class SignedDigraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise GraphFormatError(f"node count must be >= 1, got {self.n}")
+        _refuse_large(self.n)
         clean: dict[Edge, float] = {}
         for (i, j), w in self.edges.items():
             if i == j:
@@ -123,11 +133,7 @@ def parse_edge_list(text: str) -> SignedDigraph:
                 raise GraphFormatError(f"line {lineno}: expected node count, got {line!r}")
             if n < 1:
                 raise GraphFormatError(f"line {lineno}: node count must be >= 1")
-            if 8 * n * n > MAX_LAPLACIAN_BYTES:
-                raise PremiseError(
-                    f"line {lineno}: {n} nodes need a {8 * n * n / 2**30:.3g} GiB Laplacian, "
-                    f"above the {MAX_LAPLACIAN_BYTES / 2**30:g} GiB limit (MAX_LAPLACIAN_BYTES)"
-                )
+            _refuse_large(n, f"line {lineno}: ")
             continue
         parts = line.split()
         if len(parts) != 3:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .reach import ReachDecomposition
 from .robustness import DeltaStarResult, TransferSample
-from .simulate import SimulationTrace
+from .simulate import _BLOCK, SimulationTrace
 from .spectral import NullBasis
 
 
@@ -76,10 +76,18 @@ def sweep_csv(samples: list[TransferSample]) -> str:
 
 
 def trace_csv(trace: SimulationTrace) -> str:
+    """The trace as CSV text, one ``%`` format per row.
+
+    ``"%.15g" % x`` prints every float as ``_fmt`` does, ``-0``, ``inf`` and
+    ``nan`` included.  Rows are converted to Python floats a block at a time.
+    """
     n = trace.states.shape[1]
     lines = ["t," + ",".join(f"x{i}" for i in range(1, n + 1))]
-    for t, row in zip(trace.times, trace.states):
-        lines.append(_fmt(t) + "," + ",".join(_fmt(x) for x in row))
+    row_fmt = "%.15g," + ",".join(["%.15g"] * n)
+    for start in range(0, trace.states.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        values = np.column_stack((trace.times[block], trace.states[block]))
+        lines += [row_fmt % tuple(row) for row in values.tolist()]
     if trace.diverged:
         lines.append("# diverged")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
-"""Test-only constructions and checks: alternative bases, block permutations, matchings."""
+"""Test-only constructions and checks: alternative bases, block permutations, matchings,
+and the per-step simulation and per-value trace CSV that the fast paths must reproduce."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from signedlap import (
     eigenvalues,
     r_value,
 )
+from signedlap.report import _fmt
+from signedlap.simulate import OVERFLOW_LIMIT, SimulationTrace
 
 
 def split_signs(g: SignedDigraph) -> tuple[SignedDigraph, SignedDigraph]:
@@ -97,3 +100,38 @@ def zero_group(values: np.ndarray, d: int) -> np.ndarray:
     """The d eigenvalues of smallest modulus (the perturbed zero group)."""
     idx = np.argsort(np.abs(values))[:d]
     return values[idx]
+
+
+def reference_rk4(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> SimulationTrace:
+    """``simulate`` without its guards, one step and one divergence check at a time."""
+    x0 = np.asarray(x0, dtype=float)
+    n = L.shape[0]
+    steps = int(round(horizon / dt))
+    hL = dt * L
+    step = np.eye(n) - hL + hL @ hL / 2.0 - hL @ hL @ hL / 6.0 + hL @ hL @ hL @ hL / 24.0
+    states = np.empty((steps + 1, n))
+    states[0] = x0
+    x = x0.copy()
+    diverged = False
+    last = steps
+    for k in range(1, steps + 1):
+        x = step @ x
+        if not np.all(np.isfinite(x)) or np.abs(x).max() > OVERFLOW_LIMIT:
+            diverged = True
+            last = k - 1
+            break
+        states[k] = x
+    states = states[: last + 1]
+    times = dt * np.arange(last + 1)
+    return SimulationTrace(times=times, states=states, dt=dt, diverged=diverged)
+
+
+def reference_trace_csv(trace: SimulationTrace) -> str:
+    """The trace CSV built one ``_fmt`` call per value."""
+    n = trace.states.shape[1]
+    lines = ["t," + ",".join(f"x{i}" for i in range(1, n + 1))]
+    for t, row in zip(trace.times, trace.states):
+        lines.append(_fmt(t) + "," + ",".join(_fmt(x) for x in row))
+    if trace.diverged:
+        lines.append("# diverged")
+    return "\n".join(lines) + "\n"

@@ -4,14 +4,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import signedlap
-from signedlap import NumericsError, SignedDigraph, laplacian, matrix_scale
+from signedlap import NumericsError, SignedDigraph, laplacian, matrix_scale, report
 from signedlap.cli import main
+from signedlap.simulate import consensus_reached, default_dt, default_horizon, spread
 from signedlap.spectral import ZERO_TOL
 
 from conftest import DEFECTIVE_ZERO
+from helpers import reference_rk4, reference_trace_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,6 +247,28 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_simulate_diverged_output_matches_per_step_pipeline(tmp_path, capsys):
+    graph, trace_path = tmp_path / "grow.txt", tmp_path / "trace.csv"
+    graph.write_text("2\n1 2 -5\n")  # node 1 moves away from node 2 at rate 5
+    code, out, _ = run(capsys, "simulate", "--graph", str(graph), "--out", str(trace_path))
+    assert code == 0
+    L = laplacian(SignedDigraph(2, {(1, 2): -5.0}))
+    dt, horizon = default_dt(L), default_horizon(L)
+    ref = reference_rk4(L, np.random.default_rng(42).uniform(-1.0, 1.0, 2), dt, horizon)
+    verdict = {
+        "consensus": consensus_reached(ref),
+        "diverged": ref.diverged,
+        "dt": report.sig15(dt),
+        "horizon": report.sig15(horizon),
+        "initial_spread": report.sig15(spread(ref.states[:1])[0]),
+        "final_spread": report.sig15(spread(ref.states[-1:])[0]),
+    }
+    assert out == report.dumps(verdict)
+    assert json.loads(out)["diverged"] is True
+    assert trace_path.read_bytes() == reference_trace_csv(ref).encode()
+    assert trace_path.read_bytes().endswith(b"\n# diverged\n")
 
 
 def test_simulate_delta_requires_pair(capsys):

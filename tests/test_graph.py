@@ -155,6 +155,13 @@ def test_parse_refuses_oversized_node_count():
             parse_edge_list(f"{n}\n1 2 1\n")
 
 
+def test_graph_refuses_oversized_node_count():
+    assert SignedDigraph(11585, {}).n == 11585
+    for n in (11586, 10**5):  # 10**5 nodes would need a 74.5 GiB Laplacian
+        with pytest.raises(PremiseError, match="MAX_LAPLACIAN_BYTES"):
+            SignedDigraph(n, {})
+
+
 def test_graph_validation():
     with pytest.raises(GraphFormatError):
         SignedDigraph(2, {(1, 1): 1.0})

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from signedlap import NumericsError, nyquist_sweep, r_value
 from signedlap.report import (
@@ -15,6 +18,8 @@ from signedlap.report import (
 )
 from signedlap.robustness import DeltaStarResult, TransferSample
 from signedlap.simulate import SimulationTrace
+
+from helpers import reference_trace_csv
 
 
 def test_sig15():
@@ -63,6 +68,40 @@ def test_trace_csv_diverged_marker():
     lines = trace_csv(trace).splitlines()
     assert lines[0] == "t,x1,x2"
     assert lines[-1] == "# diverged"
+
+
+#: -0, subnormals, +-1e+-300, integral values and 17-digit values next to any float
+CSV_VALUES = (
+    st.floats()
+    | st.sampled_from((-0.0, 5e-324, -2e-310, 1e300, -1e300, 1e-300, -1e-300, 0.1 + 0.2,
+                       -1.2345678901234567e-5, math.inf, -math.inf, math.nan))
+    | st.integers(-(2**60), 2**60).map(float)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trace_csv_matches_per_value_format(data):
+    rows, n = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 5))
+    trace = SimulationTrace(
+        times=data.draw(arrays(float, rows, elements=CSV_VALUES)),
+        states=data.draw(arrays(float, (rows, n), elements=CSV_VALUES)),
+        dt=0.1,
+        diverged=data.draw(st.booleans()),
+    )
+    assert trace_csv(trace) == reference_trace_csv(trace)
+
+
+@pytest.mark.parametrize("diverged", [False, True])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+def test_trace_csv_matches_per_value_format_across_chunks(rows, n, diverged):
+    rng = np.random.default_rng(10 * rows + n)
+    states = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-300, 300, (rows, n))
+    trace = SimulationTrace(0.01 * np.arange(rows), states, dt=0.01, diverged=diverged)
+    text = trace_csv(trace)
+    assert text == reference_trace_csv(trace)
+    assert len(text.splitlines()) == 1 + rows + diverged
 
 
 def test_r_value_singular_system():

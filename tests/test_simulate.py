@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
@@ -9,15 +13,17 @@ from signedlap import (
     consensus_reached,
     delta_star,
     laplacian,
+    matrix_scale,
     null_basis,
     reach_decomposition,
     simulate,
     superpose,
 )
 from signedlap.errors import PremiseError
-from signedlap.simulate import default_dt, default_horizon, spread
+from signedlap.simulate import OVERFLOW_LIMIT, default_dt, default_horizon, spread
 
 from conftest import random_premise_graph
+from helpers import reference_rk4
 
 
 def test_zero_field_is_equilibrium():
@@ -120,3 +126,59 @@ def test_consensus_agreement_random():
 def test_spread_shape():
     states = np.array([[0.0, 1.0, -1.0], [0.5, 0.5, 0.5]])
     assert_allclose(spread(states), [2.0, 0.0])
+
+
+def assert_same_trace(trace, ref):
+    """Bitwise equal states and times (nan included), and the same diverged flag."""
+    for got, want in ((trace.states, ref.states), (trace.times, ref.times)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert trace.diverged == ref.diverged
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), steps=st.sampled_from((1, 1023, 1024, 1025, 2049)),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulate_matches_per_step_reference(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(n, n))
+    dt = 0.1 / matrix_scale(L)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    trace = simulate(L, x0, dt, steps * dt)
+    assert trace.states.shape == (steps + 1, n) and not trace.diverged
+    assert_same_trace(trace, reference_rk4(L, x0, dt, steps * dt))
+
+
+# rows 1-1024 are the first block, 1025-2048 the second, 2049-2500 the final partial one;
+# the first bad row falls at the start, inside or on the last row of each
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), bad_row=st.sampled_from((1, 2, 1024, 1025, 1500, 2048, 2049, 2400, 2500)),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulate_divergence_matches_per_step_reference(n, bad_row, seed):
+    rng = np.random.default_rng(seed)
+    dt = 0.1
+    L = -np.eye(n)  # every step scales the state by the RK4 growth factor
+    growth = 1.0 + dt + dt**2 / 2.0 + dt**3 / 6.0 + dt**4 / 24.0
+    x0 = rng.uniform(-1.0, 1.0, n)
+    x0 *= OVERFLOW_LIMIT / growth ** (bad_row - 0.5) / np.abs(x0).max()
+    ref = reference_rk4(L, x0, dt, 2500 * dt)
+    assert ref.diverged and ref.states.shape[0] == bad_row
+    assert_same_trace(simulate(L, x0, dt, 2500 * dt), ref)
+
+
+def test_non_finite_state_diverges_at_the_first_step():
+    x0 = np.array([np.nan, 1.0, -1.0])
+    L = laplacian(SignedDigraph(3, {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}))
+    trace = simulate(L, x0, dt=0.01, horizon=30.0)
+    assert trace.diverged and trace.states.shape[0] == 1
+    assert_same_trace(trace, reference_rk4(L, x0, 0.01, 30.0))
+
+
+def test_stepping_past_divergence_warns_nothing():
+    # the rows after the first bad one overflow to inf inside its block
+    L = np.array([[-5.0, 5.0], [0.0, 0.0]])
+    x0 = np.array([1e300, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = simulate(L, x0, dt=0.01, horizon=10.0)
+    assert trace.diverged and trace.states.shape[0] == 1
+    assert_same_trace(trace, reference_rk4(L, x0, 0.01, 10.0))
