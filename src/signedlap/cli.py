@@ -26,7 +26,7 @@ from .graph import (
     superpose,
 )
 from .perturb import sensitive_pairs, verify_sensitive_pairs
-from .reach import reach_decomposition
+from .reach import condensation, reach_decomposition
 from .robustness import (
     EffectiveResistance,
     delta_star,
@@ -92,8 +92,9 @@ def _cmd_sensitive(args: argparse.Namespace) -> int:
             f"--epsilon must be finite and at least {CANCEL_TOL:g}, got {args.epsilon}"
         )
     g = _load_graph(args.graph)
-    pairs = sensitive_pairs(g)
-    verified = verify_sensitive_pairs(g, [(p.u, p.v) for p in pairs], args.epsilon)
+    cond = condensation(g)
+    pairs = sensitive_pairs(g, cond)
+    verified = verify_sensitive_pairs(g, [(p.u, p.v) for p in pairs], args.epsilon, cond)
     payload = [
         {
             "u": p.u,

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import PremiseError
 from .graph import CANCEL_TOL, SignedDigraph, laplacian
-from .reach import ReachDecomposition, condensation, reach_decomposition
+from .reach import (Condensation, ReachDecomposition, _edges, _membership, condensation,
+                    reach_decomposition)
 from .spectral import ZERO_TOL, NullBasis, _diagonal_blocks, eigenvalues
 
 CLASS_COND1 = "Cond1"
@@ -33,6 +34,12 @@ CLASS_OTHER = "Other"
 
 SIGN_NEGATIVE = "Negative"
 SIGN_ZERO = "Zero"
+
+#: pairs whose rows of L' are patched together, and the floats (VERIFY_CHUNK * m) of
+#: one stacked eigensolve of m x m merged blocks: the workspace stays near
+#: VERIFY_CHUNK * n floats at any pair count, and on the multi-reach benchmark
+#: graphs (n = 30-54) 512 runs as fast as one unbounded stack
+VERIFY_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -120,82 +127,105 @@ def classify_pair(decomp: ReachDecomposition, u: int, v: int) -> PairClassificat
 
 
 def sensitive_pairs(g1: SignedDigraph,
-                    decomp: ReachDecomposition | None = None) -> list[PairClassification]:
+                    cond: Condensation | None = None) -> list[PairClassification]:
     """All ordered non-edges whose class forces an eigenvalue into Re <= 0.
 
     Only pairs outside the base edge set qualify (the first-order statement
-    perturbs new edges).  Raises when the graph has a single reach.
+    perturbs new edges).  Raises when the graph has a single reach.  ``cond``,
+    when given, must be ``condensation(g1)``.
+
+    The classes are those of ``classify_pair``, for every pair at once: each
+    node is reaching in at most one reach (its home) and exclusive in at most
+    one.  A reaching u is exclusive at home, so no pair (u, u) is listed.
     """
     if not g1.nonnegative:
         raise PremiseError("sensitive pairs are defined for nonnegative base graphs")
-    if decomp is None:
-        decomp = reach_decomposition(g1)
+    decomp = reach_decomposition(g1, cond=cond)
     if decomp.d < 2:
         raise PremiseError("sensitivity analysis needs at least two reaches")
-    out = []
-    for u in range(1, g1.n + 1):
-        for v in range(1, g1.n + 1):
-            if u == v or (u, v) in g1.edges:
-                continue
-            cls = classify_pair(decomp, u, v)
-            if cls.kind in (CLASS_COND1, CLASS_COND2):
-                out.append(cls)
-    return out
+    U, X, C = _membership(decomp, g1.n)
+    home = np.where(U.any(axis=0), U.argmax(axis=0), -1)[:, None]  # reach where u is reaching
+    excl = np.where(X.any(axis=0), X.argmax(axis=0), -1)  # reach where v is exclusive
+    cond1 = (home >= 0) & (excl >= 0) & (excl != home)
+    listed = cond1 | ((home >= 0) & C.any(axis=0))
+    listed[_edges(g1, positive_only=False)] = False
+    us, vs = np.nonzero(listed)
+    return [
+        PairClassification(u, v, CLASS_COND1 if c1 else CLASS_COND2, SIGN_NEGATIVE)
+        for u, v, c1 in zip((us + 1).tolist(), (vs + 1).tolist(), cond1[us, vs].tolist())
+    ]
 
 
 def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
-                           eps: float = 1e-4) -> list[bool]:
+                           eps: float = 1e-4, cond: Condensation | None = None) -> list[bool]:
     """Empirical check per pair: does weight -eps on (u, v) produce Re(lambda) < 0?
 
     The answer is that of an eigensolve of the full perturbed Laplacian L'
     (the base graph superposed with the edge, a cancelled edge dropped), with
     real parts within ``ZERO_TOL * max(||L'||_inf, 1)`` of zero not counted,
-    so a borderline outcome reports False.
+    so a borderline outcome reports False.  ``cond``, when given, must be
+    ``condensation(g1)``.
 
     Ordered by the SCCs of g1, L' stays block triangular: the new edge
     (u, v) merges comp(u) with every component on a path comp(v) ~> comp(u)
     and leaves the other diagonal blocks of L1 as they were.  So L1's blocks
-    are solved once, each pair solves only its merged block, and pairs whose
-    merged block matrix is the same share that solve.  That happens when
-    comp(v) does not reach comp(u): the block is then comp(u) alone with only
-    its (u, u) entry moved, the same for every such v.
+    are solved once, each distinct merged block (with row u patched) once,
+    and merged blocks of one size share a stacked eigensolve.  Pairs share a
+    merged block when comp(v) does not reach comp(u): the block is then
+    comp(u) alone with only its (u, u) entry moved, the same for every such v.
     """
     if not (math.isfinite(eps) and eps >= CANCEL_TOL):
         raise ValueError(f"eps must be finite and at least {CANCEL_TOL:g}, got {eps}")
+    uv = np.array(list(pairs) or np.empty((0, 2), dtype=np.intp))
+    if uv.ndim != 2 or uv.shape[1] != 2 or uv.dtype.kind not in "iu":
+        raise ValueError(f"pairs must be (u, v) integer node ids, got {uv.dtype} {uv.shape}")
+    bad = (uv[:, 0] == uv[:, 1]) | (uv < 1).any(axis=1) | (uv > g1.n).any(axis=1)
+    if bad.any():
+        u, v = uv[bad.argmax()]
+        raise ValueError(f"pair ({u}, {v}) is not two distinct nodes of 1..{g1.n}")
     L = laplacian(g1)
-    cond = condensation(g1)
+    if cond is None:
+        cond = condensation(g1)
     block_low = np.empty(cond.k)
     for comps, values in _diagonal_blocks(L, cond.labels):
         block_low[comps] = values.real.min(axis=1)
     row_scale = np.abs(L).sum(axis=1)
-    memo: dict[tuple, float] = {}
-    out = []
-    for u, v in pairs:
-        if u == v or not (1 <= u <= g1.n and 1 <= v <= g1.n):
-            raise ValueError(f"pair ({u}, {v}) is not two distinct nodes of 1..{g1.n}")
-        i, j = u - 1, v - 1
-        w = g1.weight(u, v)
-        s = w - eps
-        if abs(s) < CANCEL_TOL:  # superpose drops a cancelled edge
-            s = 0.0
-        # only row u of the Laplacian changes: its diagonal and its (u, v) entry
-        row = L[i].copy()
-        row[i] += s - w
-        row[j] = -s
-        scales = row_scale.copy()
-        scales[i] = np.abs(row).sum()
-        thr = ZERO_TOL * max(scales.max(), 1.0)
-
-        cu, cv = cond.labels[i], cond.labels[j]
-        merged = cond.closure[cv] & cond.closure[:, cu]  # on a path comp(v) ~> comp(u)
-        merged[cu] = True
-        key = (i, merged.tobytes(), row[i], (j, row[j]) if merged[cv] else None)
-        low = memo.get(key)
-        if low is None:
-            nodes = np.flatnonzero(merged[cond.labels])
-            block = L[np.ix_(nodes, nodes)]
-            block[np.searchsorted(nodes, i)] = row[nodes]
-            low = memo[key] = eigenvalues(block).real.min()
-        rest = block_low[~merged].min(initial=np.inf)
-        out.append(bool(min(low, rest) < -thr))
-    return out
+    i, j = uv.T - 1
+    w = -L[i, j]  # the weight of (u, v), 0 when absent
+    s = w - eps
+    s[np.abs(s) < CANCEL_TOL] = 0.0  # superpose drops a cancelled edge
+    # only row u of the Laplacian changes: its diagonal and its (u, v) entry
+    diag = L[i, i] + (s - w)
+    cu, cv = cond.labels[i], cond.labels[j]
+    joined = cond.closure[cv, cu]  # comp(v) reaches comp(u), so the block holds v too
+    # the merged block is fixed by u and its (u, u) entry, and if joined by v and its (u, v) entry
+    keys = np.column_stack([i, np.where(joined, j, -1), diag, np.where(joined, -s, 0.0)])
+    order = np.lexsort(keys.T)  # pairs that share a merged block side by side
+    out = np.empty(i.size, dtype=bool)
+    for start in range(0, i.size, VERIFY_CHUNK):
+        p = order[start:start + VERIFY_CHUNK]
+        at = np.arange(p.size)
+        rows = L[i[p]]  # row u of each pair's L'
+        rows[at, i[p]] = diag[p]
+        rows[at, j[p]] = -s[p]
+        scales = np.tile(row_scale, (p.size, 1))
+        scales[at, i[p]] = np.abs(rows).sum(axis=1)
+        # one merged block per distinct key, solved for its first pair q
+        _, r, block_of = np.unique(keys[p], axis=0, return_index=True, return_inverse=True)
+        q = p[r]
+        merged = cond.closure[cv[q]] & cond.closure[:, cu[q]].T  # on a path comp(v) ~> comp(u)
+        merged[np.arange(q.size), cu[q]] = True
+        low = np.where(merged, np.inf, block_low).min(axis=1)  # the blocks L' keeps from L1
+        member = merged[:, cond.labels]
+        size = member.sum(axis=1)
+        for m in np.unique(size):
+            group = np.flatnonzero(size == m)
+            # stacks of about VERIFY_CHUNK // m blocks
+            for sel in np.array_split(group, -(-group.size * m // VERIFY_CHUNK)):
+                nodes = np.nonzero(member[sel])[1].reshape(sel.size, m)
+                blocks = L[nodes[:, :, None], nodes[:, None, :]]
+                at_u = (nodes < i[q[sel], None]).sum(axis=1)
+                blocks[np.arange(sel.size), at_u] = np.take_along_axis(rows[r[sel]], nodes, axis=1)
+                low[sel] = np.minimum(low[sel], np.linalg.eigvals(blocks).real.min(axis=1))
+        out[p] = low[block_of] < -ZERO_TOL * np.maximum(scales.max(axis=1), 1.0)
+    return out.tolist()

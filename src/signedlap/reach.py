@@ -117,7 +117,8 @@ def reachable_set(g: SignedDigraph, i: int, positive_only: bool = False) -> froz
     return _nodes(cond.closure[cond.labels, cond.labels[i - 1]])
 
 
-def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachDecomposition:
+def reach_decomposition(g: SignedDigraph, positive_only: bool = False,
+                        cond: Condensation | None = None) -> ReachDecomposition:
     """Compute all reach sets and the derived U/X/C partition.
 
     Each sink component of the condensation (no stored edge leaves it) is a
@@ -126,9 +127,13 @@ def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachD
     broken by the smallest reaching node; the canonical order lists each
     exclusive block with its reaching nodes first, then the union of the
     common sets, ascending ids inside every group.
+
+    ``cond``, when given, must be ``condensation(g, positive_only)``; a caller
+    that needs the condensation as well saves the second SCC run.
     """
     rows, cols = _edges(g, positive_only)
-    cond = _condense(g.n, rows, cols)
+    if cond is None:
+        cond = _condense(g.n, rows, cols)
     sinks = np.flatnonzero(cond.closure.sum(axis=1) == 1)
     hits = cond.closure[np.ix_(cond.labels, sinks)]  # hits[i, k]: node i + 1 lies in R_k
     shared = hits.sum(axis=1) > 1
@@ -150,6 +155,15 @@ def reach_decomposition(g: SignedDigraph, positive_only: bool = False) -> ReachD
     return decomp
 
 
+def _membership(decomp: ReachDecomposition, n: int) -> np.ndarray:
+    """Shape (3, d, n) bool: ``[0, k, i - 1]`` when node i lies in U_k, ``[1]`` X_k, ``[2]`` C_k."""
+    member = np.zeros((3, decomp.d, n), dtype=bool)
+    for m, sets in zip(member, (decomp.reaching, decomp.exclusive, decomp.common)):
+        for k, nodes in enumerate(sets):
+            m[k, np.fromiter(nodes, dtype=np.intp) - 1] = True
+    return member
+
+
 def is_strongly_connected(g: SignedDigraph) -> bool:
     """Every node reachable from every other along stored edges (sign-agnostic)."""
     return _strong_components(g.n, *_edges(g, positive_only=False))[0] == 1
@@ -158,10 +172,7 @@ def is_strongly_connected(g: SignedDigraph) -> bool:
 def _validate(decomp: ReachDecomposition, labels: np.ndarray,
               rows: np.ndarray, cols: np.ndarray) -> None:
     """Structural checks of a decomposition against the SCC labels and the kept edges."""
-    U, X, C = member = np.zeros((3, decomp.d, labels.size), dtype=bool)
-    for m, sets in zip(member, (decomp.reaching, decomp.exclusive, decomp.common)):
-        for k, nodes in enumerate(sets):
-            m[k, np.fromiter(nodes, dtype=np.intp) - 1] = True
+    U, X, C = _membership(decomp, labels.size)
     if (U & ~X).any():
         raise NumericsError("a reaching set escapes its exclusive set")
     if (X & C).any():

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import signedlap
-from signedlap import NumericsError, SignedDigraph, laplacian, matrix_scale, report
+from signedlap import (EdgePerturbation, NumericsError, SignedDigraph, laplacian, matrix_scale,
+                       parse_edge_list, reach, report, spectral)
 from signedlap.cli import main
 from signedlap.simulate import consensus_reached, default_dt, default_horizon, spread
 from signedlap.spectral import ZERO_TOL
 
-from conftest import DEFECTIVE_ZERO
+from conftest import DEFECTIVE_ZERO, bisection_delta_star
 from helpers import reference_rk4, reference_trace_csv
 
 DATA = Path(__file__).parent / "data"
@@ -169,6 +170,20 @@ def test_sensitive_cli(capsys):
     assert entries[(1, 4)]["verified"] is True
     assert entries[(7, 9)]["class"] == "Cond2"
     assert (3, 4) not in entries
+
+
+def test_sensitive_condenses_the_graph_once(capsys, monkeypatch):
+    strong_components, runs = reach._strong_components, []
+
+    def counted(n, rows, cols):
+        runs.append(n)
+        return strong_components(n, rows, cols)
+
+    for module in (reach, spectral):
+        monkeypatch.setattr(module, "_strong_components", counted)
+    code, _, _ = run(capsys, "sensitive", "--graph", str(DATA / "reach12.txt"))
+    assert code == 0
+    assert runs == [12]
 
 
 def test_sensitive_single_reach_exit(capsys, tmp_path):
@@ -359,3 +374,34 @@ def test_simulate_horizon_ignores_a_defective_zero(tmp_path, capsys):
     verdict = json.loads(out)
     assert verdict["horizon"] == pytest.approx(52.851, abs=1e-3)
     assert verdict["consensus"] is False
+
+
+# weights over nine decades: the binding crossing sits at omega* ~ 4.22e-4, where Re G ~ 175.46
+WIDE_WEIGHTS = """8
+1 6 10440.2
+2 1 8.19644
+2 3 3416.39
+3 5 4.74123e-05
+3 7 0.00486034
+4 8 17.9778
+5 3 0.00436575
+5 6 75928.9
+6 3 0.000127354
+7 5 0.000664041
+8 1 8.3714
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "delta_star finds crossings as zeros of a system in Lbar1^2, whose absolute error "
+    "eps * ||Lbar1||^2 swallows the crossing at omega* ~ 4.22e-4: it reports the omega = 0 "
+    "bound 0.005967, 4.7 % above the exact 0.0056991, as NecessaryAndSufficient"))
+def test_delta_star_wide_weights_match_the_bisection_oracle(capsys, tmp_path):
+    path = tmp_path / "wide8.txt"
+    path.write_text(WIDE_WEIGHTS)
+    code, out, _ = run(capsys, "delta-star", "--graph", str(path), "--pair", "3", "5")
+    assert code == 0
+    payload = json.loads(out)
+    oracle = bisection_delta_star(parse_edge_list(WIDE_WEIGHTS), EdgePerturbation(3, 5, 1.0, 1.0))
+    assert payload["delta_star"] == pytest.approx(oracle, rel=1e-6)
+    assert payload["regime"] == "SufficientOnly"

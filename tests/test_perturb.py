@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from signedlap import (
     theta_matrix,
     verify_sensitive_pairs,
 )
+from signedlap import perturb
 from signedlap.graph import CANCEL_TOL
 from signedlap.perturb import (
     CLASS_COND1,
@@ -31,7 +34,7 @@ from signedlap.perturb import (
 )
 from signedlap.spectral import ZERO_TOL
 
-from conftest import DEFECTIVE_ZERO, random_multi_reach_graph
+from conftest import DEFECTIVE_ZERO, load_graph, random_multi_reach_graph
 from helpers import match_predictions, zero_group
 
 
@@ -213,6 +216,48 @@ def test_sensitive_pairs_two_cycles():
         assert verify_sensitive_pairs(g, [(p.u, p.v)], eps=1e-6) == [True]
 
 
+@st.composite
+def chained_multi_reach_graphs(draw):
+    """Nonnegative multi-reach graph with commons, plus a few random edges.
+
+    An extra edge out of a reaching cycle chains its component to another
+    one, which can move nodes between the reaching, exclusive and common sets
+    or leave a single reach.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_multi_reach_graph(
+        rng,
+        blocks=draw(st.integers(2, 5)),
+        block_size=draw(st.integers(1, 5)),
+        commons=draw(st.integers(1, 6)),
+    )
+    edges = dict(g.edges)
+    nodes = st.integers(1, g.n)
+    for u, v in draw(st.lists(st.tuples(nodes, nodes), max_size=4)):
+        if u != v:
+            edges[(u, v)] = float(rng.uniform(0.5, 2.5))
+    return SignedDigraph(g.n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_multi_reach_graphs())
+def test_sensitive_pairs_match_classify_pair(g):
+    decomp = reach_decomposition(g)
+    if decomp.d < 2:
+        with pytest.raises(PremiseError):
+            sensitive_pairs(g)
+        return
+    want = [
+        cls
+        for u in range(1, g.n + 1)
+        for v in range(1, g.n + 1)
+        if u != v and (u, v) not in g.edges
+        for cls in [classify_pair(decomp, u, v)]
+        if cls.kind in (CLASS_COND1, CLASS_COND2)
+    ]
+    assert sensitive_pairs(g) == want
+
+
 def test_sensitive_pairs_single_reach_errors():
     g = SignedDigraph(3, {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0})
     with pytest.raises(PremiseError):
@@ -304,3 +349,52 @@ def test_verify_sensitive_pairs_rejects_bad_input(reach12_uniform):
     for pair in ((3, 3), (0, 4), (1, 13)):
         with pytest.raises(ValueError, match="pair"):
             verify_sensitive_pairs(reach12_uniform, [pair])
+
+
+def ordered_pairs(g):
+    return [(u, v) for u in range(1, g.n + 1) for v in range(1, g.n + 1) if u != v]
+
+
+# verdicts of both kinds; DEFECTIVE_ZERO's pairs also merge several components
+VERIFY_CASES = {"reach12": (load_graph("reach12.txt"), 1e-4), "defective_zero": DEFECTIVE_ZERO}
+
+
+def test_verify_sensitive_pairs_of_no_pairs(reach12):
+    assert verify_sensitive_pairs(reach12, [], 1e-4) == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_sensitive_pairs_do_not_depend_on_the_chunk(monkeypatch, name, chunk):
+    g, eps = VERIFY_CASES[name]
+    pairs = ordered_pairs(g)
+    want = verify_sensitive_pairs(g, pairs, eps)
+    assert set(want) == {True, False}
+    monkeypatch.setattr(perturb, "VERIFY_CHUNK", chunk)
+    assert verify_sensitive_pairs(g, pairs, eps) == want
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_sensitive_pairs_do_not_depend_on_order_or_repeats(name):
+    g, eps = VERIFY_CASES[name]
+    pairs = ordered_pairs(g)
+    want = dict(zip(pairs, verify_sensitive_pairs(g, pairs, eps)))
+    rng = np.random.default_rng(11)
+    drawn = [pairs[k] for k in rng.integers(0, len(pairs), 3 * len(pairs))]
+    assert len(set(drawn)) < len(drawn)
+    assert verify_sensitive_pairs(g, drawn, eps) == [want[p] for p in drawn]
+
+
+def test_verify_sensitive_pairs_name_a_bad_pair_after_valid_ones(reach12_uniform):
+    valid = [(1, 4), (7, 9), (3, 4)]
+    for bad in ((5, 5), (2, 0), (13, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"pair {bad}")):
+            verify_sensitive_pairs(reach12_uniform, [*valid, bad, (6, 5)])
+    with pytest.raises(ValueError, match=re.escape("pair (0, 4)")):
+        verify_sensitive_pairs(reach12_uniform, [*valid, (0, 4), (3, 3)])
+
+
+def test_verify_sensitive_pairs_reject_pairs_that_are_not_integer_node_ids(reach12_uniform):
+    for pairs in ([(1.5, 4)], [("1", 4)], [(1, 10**30)], [(1, 4, 5)]):
+        with pytest.raises(ValueError, match="pair"):
+            verify_sensitive_pairs(reach12_uniform, pairs)
