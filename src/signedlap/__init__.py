@@ -29,7 +29,6 @@ from .reach import (
 from .robustness import (
     DeltaStarResult,
     EffectiveResistance,
-    TransferSample,
     check_spectrum_condition,
     delta_star,
     effective_resistance_directed,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input/parse error, 3 premise violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -80,8 +81,8 @@ def _cmd_delta_star(args: argparse.Namespace) -> int:
     if args.sweep_out is not None:
         Q = helmert_basis(g.n)
         lbar1 = reduced_laplacian(laplacian(g), Q)
-        samples = nyquist_sweep(lbar1, Q, u, v, pert.q_uv, pert.q_vu)
-        Path(args.sweep_out).write_text(report.sweep_csv(samples), encoding="utf-8")
+        omegas, values = nyquist_sweep(lbar1, Q, u, v, pert.q_uv, pert.q_vu)
+        Path(args.sweep_out).write_text(report.sweep_csv(omegas, values), encoding="utf-8")
     _emit(report.dumps(report.delta_star_json(result)), args.out)
     return EXIT_OK
 
@@ -150,7 +151,9 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="signedlap",
         description="Spectral robustness analysis for Laplacians of directed signed graphs",

@@ -13,23 +13,14 @@ from typing import Any
 import numpy as np
 
 from .reach import ReachDecomposition
-from .robustness import DeltaStarResult, TransferSample
+from .robustness import DeltaStarResult
 from .simulate import _BLOCK, SimulationTrace
 from .spectral import NullBasis
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.15g}"
-
-
 def sig15(x: float) -> float | str:
-    text = _fmt(x)
-    return float(text) if math.isfinite(float(x)) else text
+    text = "%.15g" % x
+    return float(text) if math.isfinite(x) else text
 
 
 def spectrum_json(values: np.ndarray) -> list[dict[str, Any]]:
@@ -68,29 +59,30 @@ def delta_star_json(result: DeltaStarResult) -> dict[str, Any]:
     }
 
 
-def sweep_csv(samples: list[TransferSample]) -> str:
-    lines = ["omega,re,im"]
-    for s in samples:
-        lines.append(f"{_fmt(s.omega)},{_fmt(s.value.real)},{_fmt(s.value.imag)}")
+def _csv(header: list[str], columns: tuple[np.ndarray, ...], trailer: str | None = None) -> str:
+    """CSV text: the header, one ``%.15g`` row per row of the columns, then the trailer.
+
+    A 2-D column array gives one CSV column per array column.  ``"%.15g" % x``
+    prints ``-0``, ``inf``, ``-inf`` and ``nan`` as such.  Rows are converted
+    to Python floats ``_BLOCK`` at a time.
+    """
+    lines = [",".join(header)]
+    row_fmt = ",".join(["%.15g"] * len(header))
+    for start in range(0, len(columns[0]), _BLOCK):
+        values = np.column_stack([c[start:start + _BLOCK] for c in columns])
+        lines += [row_fmt % tuple(row) for row in values.tolist()]
+    if trailer is not None:
+        lines.append(trailer)
     return "\n".join(lines) + "\n"
+
+
+def sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:
+    return _csv(["omega", "re", "im"], (omegas, values.real, values.imag))
 
 
 def trace_csv(trace: SimulationTrace) -> str:
-    """The trace as CSV text, one ``%`` format per row.
-
-    ``"%.15g" % x`` prints every float as ``_fmt`` does, ``-0``, ``inf`` and
-    ``nan`` included.  Rows are converted to Python floats a block at a time.
-    """
-    n = trace.states.shape[1]
-    lines = ["t," + ",".join(f"x{i}" for i in range(1, n + 1))]
-    row_fmt = "%.15g," + ",".join(["%.15g"] * n)
-    for start in range(0, trace.states.shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        values = np.column_stack((trace.times[block], trace.states[block]))
-        lines += [row_fmt % tuple(row) for row in values.tolist()]
-    if trace.diverged:
-        lines.append("# diverged")
-    return "\n".join(lines) + "\n"
+    header = ["t", *(f"x{i}" for i in range(1, trace.states.shape[1] + 1))]
+    return _csv(header, (trace.times, trace.states), "# diverged" if trace.diverged else None)
 
 
 def dumps(payload: Any) -> str:

@@ -55,14 +55,6 @@ REGIME_SUFFICIENT_ONLY = "SufficientOnly"
 
 
 @dataclass(frozen=True)
-class TransferSample:
-    """One sample of the transfer map; omega may be math.inf for the asymptote."""
-
-    omega: float
-    value: complex
-
-
-@dataclass(frozen=True)
 class DeltaStarResult:
     """Critical perturbation magnitude and its supporting crossings."""
 
@@ -114,8 +106,8 @@ def _sweep_omegas(radius: float) -> np.ndarray:
 
 
 def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
-                  q_uv: float, q_vu: float) -> list[TransferSample]:
-    """Sample the transfer map over ``_sweep_omegas``, ending with the w -> inf limit 0.
+                  q_uv: float, q_vu: float) -> tuple[np.ndarray, np.ndarray]:
+    """G(j w) over ``_sweep_omegas`` as arrays (w, G), ending with the w -> inf limit 0.
 
     Back-substitutes ``T - j w I`` of one complex Schur form ``Z T Z^H`` of
     Lbar1 for a chunk of frequencies at once (Laub 1981); the grid scales with
@@ -127,7 +119,8 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     omegas = _sweep_omegas(float(np.abs(np.diag(T)).max()))
     bt, ct = Z.conj().T @ b, Z.T @ c
     tol = SWEEP_PIVOT_RTOL * max(matrix_scale(lbar1), 1.0)
-    samples: list[TransferSample] = []
+    kept: list[np.ndarray] = []
+    parts: list[np.ndarray] = []
     for start in range(0, omegas.size, SWEEP_CHUNK):
         chunk = omegas[start:start + SWEEP_CHUNK]
         shifted = np.diag(T)[:, None] - 1j * chunk
@@ -138,12 +131,12 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
         X = np.empty(shifted.shape, dtype=complex)
         for i in range(T.shape[0] - 1, -1, -1):
             X[i] = (bt[i] - T[i, i + 1:] @ X[i + 1:]) / shifted[i]
-        kept = chunk[~singular]
-        values = ct @ X
-        values.imag[kept == 0.0] = 0.0  # G(j0) is real; drop the complex Schur rounding
-        samples.extend(TransferSample(float(w), complex(z)) for w, z in zip(kept, values))
-    samples.append(TransferSample(math.inf, 0j))
-    return samples
+        kept.append(chunk[~singular])
+        parts.append(ct @ X)
+    omegas = np.append(np.concatenate(kept), math.inf)
+    values = np.append(np.concatenate(parts), 0j)
+    values.imag[omegas == 0.0] = 0.0  # G(j0) is real; drop the complex Schur rounding
+    return omegas, values
 
 
 def check_spectrum_condition(g: SignedDigraph) -> bool:

@@ -16,7 +16,7 @@ OVERFLOW_LIMIT = 1e150
 #: largest trace (state array plus time axis) a simulation may allocate, in bytes
 MAX_TRACE_BYTES = 2**30
 
-#: rows stepped between divergence checks, and trace rows ``report.trace_csv`` converts at once
+#: rows stepped between divergence checks, and CSV rows ``report`` converts to text at once
 _BLOCK = 1024
 
 
@@ -25,7 +25,6 @@ class SimulationTrace:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
     dt: float
-    method: str = "rk4"
     diverged: bool = False
 
 

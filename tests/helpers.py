@@ -1,5 +1,5 @@
 """Test-only constructions and checks: alternative bases, block permutations, matchings,
-and the per-step simulation and per-value trace CSV that the fast paths must reproduce."""
+and the per-step simulation and per-value CSVs that the fast paths must reproduce."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from signedlap import (
     eigenvalues,
     r_value,
 )
-from signedlap.report import _fmt
 from signedlap.simulate import OVERFLOW_LIMIT, SimulationTrace
 
 
@@ -126,12 +125,30 @@ def reference_rk4(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> S
     return SimulationTrace(times=times, states=states, dt=dt, diverged=diverged)
 
 
+def fmt15(x: float) -> str:
+    """One float at 15 significant digits, with ``inf``, ``-inf`` and ``nan`` spelled out."""
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if math.isnan(x):
+        return "nan"
+    return f"{x:.15g}"
+
+
 def reference_trace_csv(trace: SimulationTrace) -> str:
-    """The trace CSV built one ``_fmt`` call per value."""
+    """The trace CSV built one ``fmt15`` call per value."""
     n = trace.states.shape[1]
     lines = ["t," + ",".join(f"x{i}" for i in range(1, n + 1))]
     for t, row in zip(trace.times, trace.states):
-        lines.append(_fmt(t) + "," + ",".join(_fmt(x) for x in row))
+        lines.append(fmt15(t) + "," + ",".join(fmt15(x) for x in row))
     if trace.diverged:
         lines.append("# diverged")
+    return "\n".join(lines) + "\n"
+
+
+def reference_sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:
+    """The sweep CSV built one ``fmt15`` call per value."""
+    lines = ["omega,re,im"]
+    for w, z in zip(omegas, values):
+        lines.append(f"{fmt15(w)},{fmt15(z.real)},{fmt15(z.imag)}")
     return "\n".join(lines) + "\n"

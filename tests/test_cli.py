@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import signedlap
-from signedlap import (EdgePerturbation, NumericsError, SignedDigraph, laplacian, matrix_scale,
-                       parse_edge_list, reach, report, spectral)
+from signedlap import (EdgePerturbation, NumericsError, SignedDigraph, cli, delta_star, laplacian,
+                       matrix_scale, parse_edge_list, reach, report, spectral)
 from signedlap.cli import main
 from signedlap.simulate import consensus_reached, default_dt, default_horizon, spread
 from signedlap.spectral import ZERO_TOL
@@ -129,6 +129,23 @@ def test_cli_import_leaves_out_scipy_optimize():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # the shared parser carries nothing from one call into the next: defaults stay defaults
+    pair = ["delta-star", "--graph", str(DATA / "spoked8.txt"), "--pair", "3", "8"]
+    sensitive = ["sensitive", "--graph", str(DATA / "reach12.txt")]
+    argvs = [pair + ["--gains", "1", "0"], pair, sensitive, pair + ["--gains", "1", "0"], pair]
+    fresh = cli.build_parser.__wrapped__()
+    for argv in argvs:
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+    outs = [run(capsys, *argv) for argv in argvs]
+    assert outs[:2] == outs[3:] and outs[0] != outs[1]
+    for (code, out, _), gains in ((outs[0], (1.0, 0.0)), (outs[1], (1.0, 1.0))):
+        want = delta_star(parse_edge_list((DATA / "spoked8.txt").read_text()),
+                          EdgePerturbation(3, 8, q_uv=gains[0], q_vu=gains[1]))
+        assert code == 0 and out == report.dumps(report.delta_star_json(want))
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

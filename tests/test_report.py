@@ -16,10 +16,10 @@ from signedlap.report import (
     sweep_csv,
     trace_csv,
 )
-from signedlap.robustness import DeltaStarResult, TransferSample
+from signedlap.robustness import DeltaStarResult
 from signedlap.simulate import SimulationTrace
 
-from helpers import reference_trace_csv
+from helpers import reference_sweep_csv, reference_trace_csv
 
 
 def test_sig15():
@@ -53,8 +53,7 @@ def test_delta_star_json_handles_infinity():
 
 
 def test_sweep_csv_format():
-    samples = [TransferSample(0.0, complex(0.5, 0.0)), TransferSample(math.inf, 0j)]
-    text = sweep_csv(samples)
+    text = sweep_csv(np.array([0.0, math.inf]), np.array([0.5 + 0j, 0j]))
     assert text.splitlines() == ["omega,re,im", "0,0.5,0", "inf,0,0"]
 
 
@@ -90,6 +89,12 @@ def test_trace_csv_matches_per_value_format(data):
         diverged=data.draw(st.booleans()),
     )
     assert trace_csv(trace) == reference_trace_csv(trace)
+    omegas = data.draw(arrays(float, rows, elements=CSV_VALUES))
+    # filled part by part: re + 1j * im would turn an infinite im into a nan re
+    values = np.empty(rows, dtype=complex)
+    values.real = data.draw(arrays(float, rows, elements=CSV_VALUES))
+    values.imag = data.draw(arrays(float, rows, elements=CSV_VALUES))
+    assert sweep_csv(omegas, values) == reference_sweep_csv(omegas, values)
 
 
 @pytest.mark.parametrize("diverged", [False, True])
@@ -117,9 +122,8 @@ def test_nyquist_sweep_skips_singular_points(caplog):
     Q = np.array([[1 / np.sqrt(2), -1 / np.sqrt(2), 0.0],
                   [1 / np.sqrt(6), 1 / np.sqrt(6), -2 / np.sqrt(6)]])
     with caplog.at_level("WARNING"):
-        samples = nyquist_sweep(singular, Q, 1, 2, 1.0, 0.0)
-    omegas = [s.omega for s in samples]
-    assert len(samples) == 2001  # w = 0 dropped from 2001 samples, asymptote appended
+        omegas, values = nyquist_sweep(singular, Q, 1, 2, 1.0, 0.0)
+    assert len(omegas) == len(values) == 2001  # w = 0 dropped from 2001 samples, asymptote appended
     assert 0.0 not in omegas and omegas[-1] == math.inf
     assert "singular" in caplog.text
 
