@@ -94,19 +94,12 @@ def _cmd_sensitive(args: argparse.Namespace) -> int:
         )
     g = _load_graph(args.graph)
     cond = condensation(g)
-    pairs = sensitive_pairs(g, cond)
-    verified = verify_sensitive_pairs(g, [(p.u, p.v) for p in pairs], args.epsilon, cond)
-    payload = [
-        {
-            "u": p.u,
-            "v": p.v,
-            "class": p.kind,
-            "theta_diag_sign": p.theta_sign,
-            "verified": ok,
-        }
-        for p, ok in zip(pairs, verified)
-    ]
-    _emit(report.dumps(payload), args.out)
+    uv, cond1 = sensitive_pairs(g, cond)
+    try:
+        verified = verify_sensitive_pairs(g, uv, args.epsilon, cond)
+    except ValueError as exc:  # the pairs are the graph's own, so eps is at fault
+        raise ValueError(f"--epsilon: {exc}") from None
+    _emit(report.dumps_sensitive(uv, cond1, verified), args.out)
     return EXIT_OK
 
 

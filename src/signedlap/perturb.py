@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +44,9 @@ VERIFY_CHUNK = 512
 
 @dataclass(frozen=True)
 class ThetaMatrix:
-    """d x d first-order coupling matrix with the bases that produced it."""
+    """d x d first-order coupling matrix."""
 
-    d: int
     theta: np.ndarray  # shape (d, d)
-    upsilon_rows: np.ndarray  # shape (d, n): left vectors
-    gamma_cols: np.ndarray  # shape (n, d): right vectors
 
 
 @dataclass(frozen=True)
@@ -80,14 +77,7 @@ def theta_matrix(g1: SignedDigraph, decomp: ReachDecomposition,
             raise PremiseError(f"perturbation edge {key} already exists in the base graph")
         if w >= 0:
             raise PremiseError(f"perturbation edge {key} must have negative weight")
-    L2 = laplacian(g2)
-    theta = basis.mus @ L2 @ basis.gammas.T
-    return ThetaMatrix(
-        d=decomp.d,
-        theta=theta,
-        upsilon_rows=basis.mus,
-        gamma_cols=basis.gammas.T,
-    )
+    return ThetaMatrix(theta=basis.mus @ laplacian(g2) @ basis.gammas.T)
 
 
 def first_order_zero_eigenvalues(theta: ThetaMatrix, eps: float) -> np.ndarray:
@@ -127,12 +117,14 @@ def classify_pair(decomp: ReachDecomposition, u: int, v: int) -> PairClassificat
 
 
 def sensitive_pairs(g1: SignedDigraph,
-                    cond: Condensation | None = None) -> list[PairClassification]:
+                    cond: Condensation | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All ordered non-edges whose class forces an eigenvalue into Re <= 0.
 
-    Only pairs outside the base edge set qualify (the first-order statement
-    perturbs new edges).  Raises when the graph has a single reach.  ``cond``,
-    when given, must be ``condensation(g1)``.
+    Returns the (m, 2) integer array of the 1-based pairs (u, v) in row-major
+    order and a bool array, True for Cond1 and False for Cond2.  Only pairs
+    outside the base edge set qualify (the first-order statement perturbs new
+    edges).  Raises when the graph has a single reach.  ``cond``, when given,
+    must be ``condensation(g1)``.
 
     The classes are those of ``classify_pair``, for every pair at once: each
     node is reaching in at most one reach (its home) and exclusive in at most
@@ -150,21 +142,18 @@ def sensitive_pairs(g1: SignedDigraph,
     listed = cond1 | ((home >= 0) & C.any(axis=0))
     listed[_edges(g1, positive_only=False)] = False
     us, vs = np.nonzero(listed)
-    return [
-        PairClassification(u, v, CLASS_COND1 if c1 else CLASS_COND2, SIGN_NEGATIVE)
-        for u, v, c1 in zip((us + 1).tolist(), (vs + 1).tolist(), cond1[us, vs].tolist())
-    ]
+    return np.column_stack([us + 1, vs + 1]), cond1[us, vs]
 
 
-def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
+def verify_sensitive_pairs(g1: SignedDigraph, pairs: np.ndarray | Sequence[tuple[int, int]],
                            eps: float = 1e-4, cond: Condensation | None = None) -> list[bool]:
     """Empirical check per pair: does weight -eps on (u, v) produce Re(lambda) < 0?
 
     The answer is that of an eigensolve of the full perturbed Laplacian L'
     (the base graph superposed with the edge, a cancelled edge dropped), with
     real parts within ``ZERO_TOL * max(||L'||_inf, 1)`` of zero not counted,
-    so a borderline outcome reports False.  ``cond``, when given, must be
-    ``condensation(g1)``.
+    so a borderline outcome reports False; an eps that overflows a row sum of
+    L' raises ``ValueError``.  ``cond``, when given, must be ``condensation(g1)``.
 
     Ordered by the SCCs of g1, L' stays block triangular: the new edge
     (u, v) merges comp(u) with every component on a path comp(v) ~> comp(u)
@@ -176,7 +165,7 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
     """
     if not (math.isfinite(eps) and eps >= CANCEL_TOL):
         raise ValueError(f"eps must be finite and at least {CANCEL_TOL:g}, got {eps}")
-    uv = np.array(list(pairs) or np.empty((0, 2), dtype=np.intp))
+    uv = np.asarray(pairs if len(pairs) else np.empty((0, 2), dtype=np.intp))
     if uv.ndim != 2 or uv.shape[1] != 2 or uv.dtype.kind not in "iu":
         raise ValueError(f"pairs must be (u, v) integer node ids, got {uv.dtype} {uv.shape}")
     bad = (uv[:, 0] == uv[:, 1]) | (uv < 1).any(axis=1) | (uv > g1.n).any(axis=1)
@@ -209,7 +198,11 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
         rows[at, i[p]] = diag[p]
         rows[at, j[p]] = -s[p]
         scales = np.tile(row_scale, (p.size, 1))
-        scales[at, i[p]] = np.abs(rows).sum(axis=1)
+        with np.errstate(over="ignore"):  # an infinite row sum is refused below
+            scales[at, i[p]] = np.abs(rows).sum(axis=1)
+        scale = scales.max(axis=1)
+        if not np.isfinite(scale).all():
+            raise ValueError(f"eps = {eps:g} overflows a row sum of the perturbed Laplacian")
         # one merged block per distinct key, solved for its first pair q
         _, r, block_of = np.unique(keys[p], axis=0, return_index=True, return_inverse=True)
         q = p[r]
@@ -227,5 +220,5 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: Iterable[tuple[int, int]],
                 at_u = (nodes < i[q[sel], None]).sum(axis=1)
                 blocks[np.arange(sel.size), at_u] = np.take_along_axis(rows[r[sel]], nodes, axis=1)
                 low[sel] = np.minimum(low[sel], np.linalg.eigvals(blocks).real.min(axis=1))
-        out[p] = low[block_of] < -ZERO_TOL * np.maximum(scales.max(axis=1), 1.0)
+        out[p] = low[block_of] < -ZERO_TOL * np.maximum(scale, 1.0)
     return out.tolist()

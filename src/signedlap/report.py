@@ -12,6 +12,7 @@ from typing import Any
 
 import numpy as np
 
+from .perturb import CLASS_COND1, CLASS_COND2, SIGN_NEGATIVE
 from .reach import ReachDecomposition
 from .robustness import DeltaStarResult
 from .simulate import _BLOCK, SimulationTrace
@@ -64,16 +65,17 @@ def _csv(header: list[str], columns: tuple[np.ndarray, ...], trailer: str | None
 
     A 2-D column array gives one CSV column per array column.  ``"%.15g" % x``
     prints ``-0``, ``inf``, ``-inf`` and ``nan`` as such.  Rows are converted
-    to Python floats ``_BLOCK`` at a time.
+    to Python floats and joined ``_BLOCK`` at a time; the closing newline is
+    part of the last join, not appended to a copy of the whole text.
     """
-    lines = [",".join(header)]
+    parts = [",".join(header)]
     row_fmt = ",".join(["%.15g"] * len(header))
     for start in range(0, len(columns[0]), _BLOCK):
         values = np.column_stack([c[start:start + _BLOCK] for c in columns])
-        lines += [row_fmt % tuple(row) for row in values.tolist()]
+        parts.append("\n".join([row_fmt % tuple(row) for row in values.tolist()]))
     if trailer is not None:
-        lines.append(trailer)
-    return "\n".join(lines) + "\n"
+        parts.append(trailer)
+    return "\n".join([*parts, ""])
 
 
 def sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:
@@ -87,3 +89,14 @@ def trace_csv(trace: SimulationTrace) -> str:
 
 def dumps(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def dumps_sensitive(uv: np.ndarray, cond1: np.ndarray, verified: list[bool]) -> str:
+    """``dumps`` of the ``sensitive`` objects, one ``%`` format per pair and one join."""
+    if not len(uv):
+        return "[]\n"
+    row = ('  {\n    "class": "%s",\n    "theta_diag_sign": "%s",\n    "u": %d,\n    "v": %d,\n'
+           '    "verified": %s\n  }')
+    rows = [row % ((CLASS_COND2, CLASS_COND1)[c], SIGN_NEGATIVE, u, v, ("false", "true")[ok])
+            for (u, v), c, ok in zip(uv.tolist(), cond1.tolist(), verified)]
+    return "[\n%s\n]\n" % ",\n".join(rows)

@@ -1,8 +1,10 @@
 """Test-only constructions and checks: alternative bases, block permutations, matchings,
-and the per-step simulation and per-value CSVs that the fast paths must reproduce."""
+and the per-step simulation, per-value CSVs and per-pair JSON that the fast paths must
+reproduce."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -14,9 +16,13 @@ from signedlap import (
     PremiseError,
     ReachDecomposition,
     SignedDigraph,
+    classify_pair,
     eigenvalues,
     r_value,
+    reach_decomposition,
+    verify_sensitive_pairs,
 )
+from signedlap.perturb import CLASS_COND1, CLASS_COND2
 from signedlap.simulate import OVERFLOW_LIMIT, SimulationTrace
 
 
@@ -152,3 +158,22 @@ def reference_sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:
     for w, z in zip(omegas, values):
         lines.append(f"{fmt15(w)},{fmt15(z.real)},{fmt15(z.imag)}")
     return "\n".join(lines) + "\n"
+
+
+def reference_sensitive_json(g: SignedDigraph, eps: float) -> str:
+    """``signedlap sensitive``'s JSON from one ``classify_pair`` and one dict per pair."""
+    decomp = reach_decomposition(g)
+    pairs = [
+        cls
+        for u in range(1, g.n + 1)
+        for v in range(1, g.n + 1)
+        if u != v and (u, v) not in g.edges
+        for cls in [classify_pair(decomp, u, v)]
+        if cls.kind in (CLASS_COND1, CLASS_COND2)
+    ]
+    verified = verify_sensitive_pairs(g, [(p.u, p.v) for p in pairs], eps)
+    payload = [
+        {"u": p.u, "v": p.v, "class": p.kind, "theta_diag_sign": p.theta_sign, "verified": ok}
+        for p, ok in zip(pairs, verified)
+    ]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

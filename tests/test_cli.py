@@ -15,7 +15,7 @@ from signedlap.simulate import consensus_reached, default_dt, default_horizon, s
 from signedlap.spectral import ZERO_TOL
 
 from conftest import DEFECTIVE_ZERO, bisection_delta_star
-from helpers import reference_rk4, reference_trace_csv
+from helpers import reference_rk4, reference_sensitive_json, reference_trace_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -217,6 +217,32 @@ def test_sensitive_rejects_bad_epsilon(capsys, eps):
     assert code == 2 and out == ""
     assert "--epsilon" in err
     assert "edge" not in err
+
+
+def test_sensitive_refuses_an_overflowing_epsilon(capsys, tmp_path):
+    out_file = tmp_path / "pairs.json"
+    code, out, err = run(capsys, "sensitive", "--graph", str(DATA / "reach12.txt"),
+                         "--epsilon", "1e308", "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert "--epsilon" in err and "overflows" in err
+
+
+MULTI_REACH_DATA = [p for p in sorted(DATA.glob("*.txt"))
+                    if reach.reach_decomposition(parse_edge_list(p.read_text())).d >= 2]
+
+
+@pytest.mark.parametrize("eps", ["1e-4", "1e-6", "0.3", "3"])
+def test_sensitive_json_matches_the_per_pair_reference(capsys, tmp_path, eps):
+    assert MULTI_REACH_DATA
+    for path in MULTI_REACH_DATA:
+        want = reference_sensitive_json(parse_edge_list(path.read_text()), float(eps))
+        code, out, _ = run(capsys, "sensitive", "--graph", str(path), "--epsilon", eps)
+        assert code == 0 and out == want
+        out_file = tmp_path / f"{path.stem}.json"
+        code, out, _ = run(capsys, "sensitive", "--graph", str(path), "--epsilon", eps,
+                           "--out", str(out_file))
+        assert code == 0 and out == ""
+        assert out_file.read_bytes() == want.encode("utf-8")
 
 
 def test_simulate_refuses_oversized_trace(capsys, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
+    PairClassification,
     PremiseError,
     SignedDigraph,
     classify_pair,
@@ -193,8 +194,14 @@ def test_first_order_error_shrinks_linearly():
         done += 1
 
 
+def listed_classes(uv, cond1):
+    """``sensitive_pairs``' arrays as one ``PairClassification`` per listed pair."""
+    return [PairClassification(u, v, CLASS_COND1 if c1 else CLASS_COND2, SIGN_NEGATIVE)
+            for (u, v), c1 in zip(uv.tolist(), cond1.tolist())]
+
+
 def test_sensitive_pairs_reference(reach12_uniform):
-    pairs = {(p.u, p.v): p.kind for p in sensitive_pairs(reach12_uniform)}
+    pairs = {(p.u, p.v): p.kind for p in listed_classes(*sensitive_pairs(reach12_uniform))}
     assert pairs[(1, 4)] == CLASS_COND1
     assert pairs[(7, 9)] == CLASS_COND2
     for absent in ((3, 4), (7, 6), (6, 5), (4, 8)):
@@ -205,7 +212,7 @@ def test_sensitive_pairs_reference(reach12_uniform):
 
 def test_sensitive_pairs_two_cycles():
     g = SignedDigraph(4, {(1, 2): 1.0, (2, 1): 1.0, (3, 4): 1.0, (4, 3): 1.0})
-    pairs = sensitive_pairs(g)
+    pairs = listed_classes(*sensitive_pairs(g))
     got = {(p.u, p.v) for p in pairs}
     expected = {(u, v) for u in (1, 2) for v in (3, 4)} | {
         (u, v) for u in (3, 4) for v in (1, 2)
@@ -255,7 +262,9 @@ def test_sensitive_pairs_match_classify_pair(g):
         for cls in [classify_pair(decomp, u, v)]
         if cls.kind in (CLASS_COND1, CLASS_COND2)
     ]
-    assert sensitive_pairs(g) == want
+    uv, cond1 = sensitive_pairs(g)
+    assert uv.dtype.kind == "i" and uv.shape == (len(want), 2) and cond1.dtype == bool
+    assert listed_classes(uv, cond1) == want
 
 
 def test_sensitive_pairs_single_reach_errors():
@@ -392,6 +401,24 @@ def test_verify_sensitive_pairs_name_a_bad_pair_after_valid_ones(reach12_uniform
             verify_sensitive_pairs(reach12_uniform, [*valid, bad, (6, 5)])
     with pytest.raises(ValueError, match=re.escape("pair (0, 4)")):
         verify_sensitive_pairs(reach12_uniform, [*valid, (0, 4), (3, 3)])
+
+
+def test_verify_sensitive_pairs_take_the_listed_array(reach12):
+    uv, _ = sensitive_pairs(reach12)
+    assert verify_sensitive_pairs(reach12, uv) == verify_sensitive_pairs(reach12, uv.tolist())
+    assert verify_sensitive_pairs(reach12, uv[:0]) == []
+
+
+def test_verify_sensitive_pairs_refuse_an_eps_that_overflows_a_row_sum(reach12):
+    # -1e308 on (u, v) moves both |L'[u, u]| and |L'[u, v]| to about 1e308, whose sum is inf
+    with pytest.raises(ValueError, match="eps = 1e[+]308 overflows"):
+        verify_sensitive_pairs(reach12, [(1, 4), (7, 9)], 1e308)
+
+
+def test_verify_sensitive_pairs_at_a_huge_finite_eps(reach12):
+    uv, _ = sensitive_pairs(reach12)
+    assert len(uv) == 39
+    assert all(verify_sensitive_pairs(reach12, uv, 1e300))
 
 
 def test_verify_sensitive_pairs_reject_pairs_that_are_not_integer_node_ids(reach12_uniform):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from signedlap import NumericsError, nyquist_sweep, r_value
 from signedlap.report import (
     delta_star_json,
     dumps,
+    dumps_sensitive,
     sig15,
     spectrum_json,
     sweep_csv,
@@ -107,6 +109,45 @@ def test_trace_csv_matches_per_value_format_across_chunks(rows, n, diverged):
     text = trace_csv(trace)
     assert text == reference_trace_csv(trace)
     assert len(text.splitlines()) == 1 + rows + diverged
+
+
+def test_trace_csv_holds_about_two_copies_of_its_text():
+    rng = np.random.default_rng(3)
+    trace = SimulationTrace(0.01 * np.arange(20 * 1024), rng.standard_normal((20 * 1024, 10)),
+                            dt=0.01)
+    tracemalloc.start()
+    try:
+        text = trace_csv(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the joined blocks, the final text and one block of row strings
+    assert peak < 2.5 * len(text)
+
+
+def sensitive_payload(uv, cond1, verified):
+    """The dict per pair that ``signedlap sensitive`` handed to ``dumps``."""
+    return [
+        {"u": u, "v": v, "class": "Cond1" if c1 else "Cond2", "theta_diag_sign": "Negative",
+         "verified": ok}
+        for (u, v), c1, ok in zip(uv.tolist(), cond1.tolist(), verified)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dumps_sensitive_matches_dumps_of_the_dict_payload(data):
+    m = data.draw(st.integers(0, 300))
+    uv = data.draw(arrays(np.intp, (m, 2), elements=st.integers(1, 11585)))
+    cond1 = data.draw(arrays(bool, m))
+    verified = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    text = dumps_sensitive(uv, cond1, verified)
+    payload = sensitive_payload(uv, cond1, verified)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_sensitive_of_no_pairs():
+    assert dumps_sensitive(np.empty((0, 2), dtype=np.intp), np.empty(0, dtype=bool), []) == "[]\n"
 
 
 def test_r_value_singular_system():
