@@ -65,17 +65,18 @@ def _csv(header: list[str], columns: tuple[np.ndarray, ...], trailer: str | None
 
     A 2-D column array gives one CSV column per array column.  ``"%.15g" % x``
     prints ``-0``, ``inf``, ``-inf`` and ``nan`` as such.  Rows are converted
-    to Python floats and joined ``_BLOCK`` at a time; the closing newline is
-    part of the last join, not appended to a copy of the whole text.
+    to Python floats ``_BLOCK`` at a time, then joined once with the closing
+    newline (joined block strings made the process's peak RSS vary by input).
     """
-    parts = [",".join(header)]
+    lines = [",".join(header)]
     row_fmt = ",".join(["%.15g"] * len(header))
     for start in range(0, len(columns[0]), _BLOCK):
         values = np.column_stack([c[start:start + _BLOCK] for c in columns])
-        parts.append("\n".join([row_fmt % tuple(row) for row in values.tolist()]))
+        lines += [row_fmt % tuple(row) for row in values.tolist()]
     if trailer is not None:
-        parts.append(trailer)
-    return "\n".join([*parts, ""])
+        lines.append(trailer)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:

@@ -121,7 +121,7 @@ def test_trace_csv_holds_about_two_copies_of_its_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the joined blocks, the final text and one block of row strings
+    # the row strings and the final text
     assert peak < 2.5 * len(text)
 
 
