@@ -61,15 +61,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     L = laplacian(g)
     values, scale = block_spectrum(L), matrix_scale(L)
     decomp = reach_decomposition(g, positive_only=args.positive_only)
-    payload = {
-        "n": g.n,
-        "spectrum": report.spectrum_json(values),
-        "zero_multiplicity": zero_multiplicity(values, scale),
-        "spectrum_condition": spectrum_condition(values, scale),
-        "decomposition": report.decomposition_json(decomp),
-        "null_basis": report.null_basis_json(null_basis(L, decomp)) if g.nonnegative else None,
-    }
-    _emit(report.dumps(payload), args.out)
+    basis = null_basis(L, decomp) if g.nonnegative else None
+    _emit(report.dumps_analyze(g.n, values, zero_multiplicity(values, scale),
+                               spectrum_condition(values, scale), decomp, basis), args.out)
     return EXIT_OK
 
 

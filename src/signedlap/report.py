@@ -20,31 +20,8 @@ from .spectral import NullBasis
 
 
 def sig15(x: float) -> float | str:
-    text = "%.15g" % x
-    return float(text) if math.isfinite(x) else text
-
-
-def spectrum_json(values: np.ndarray) -> list[dict[str, Any]]:
-    return [{"re": sig15(z.real), "im": sig15(z.imag)} for z in np.asarray(values)]
-
-
-def decomposition_json(decomp: ReachDecomposition) -> dict[str, Any]:
-    return {
-        "d": decomp.d,
-        "reaches": [sorted(r) for r in decomp.reaches],
-        "reaching": [sorted(r) for r in decomp.reaching],
-        "exclusive": [sorted(r) for r in decomp.exclusive],
-        "common": [sorted(r) for r in decomp.common],
-        "order": list(decomp.order),
-    }
-
-
-def null_basis_json(basis: NullBasis) -> dict[str, Any]:
-    return {
-        "d": basis.d,
-        "gammas": [[sig15(x) for x in row] for row in basis.gammas],
-        "mus": [[sig15(x) for x in row] for row in basis.mus],
-    }
+    value = float("%.15g" % x)  # rounding up may overflow a finite x near the largest float
+    return value if math.isfinite(value) else repr(value)
 
 
 def delta_star_json(result: DeltaStarResult) -> dict[str, Any]:
@@ -101,3 +78,35 @@ def dumps_sensitive(uv: np.ndarray, cond1: np.ndarray, verified: list[bool]) -> 
     rows = [row % ((CLASS_COND2, CLASS_COND1)[c], SIGN_NEGATIVE, u, v, ("false", "true")[ok])
             for (u, v), c, ok in zip(uv.tolist(), cond1.tolist(), verified)]
     return "[\n%s\n]\n" % ",\n".join(rows)
+
+
+def _floats(values: np.ndarray) -> list[str]:
+    """``json.dumps`` of ``sig15(x)`` for each x, in one batch; only inf and nan end in no digit."""
+    text = ("%.15g " * values.size) % tuple(values.ravel().tolist())
+    return [r if r[-1].isdigit() else '"%s"' % r for r in map(repr, map(float, text.split()))]
+
+
+def _array(items: list, indent: int = 4) -> str:
+    """The JSON array of formatted items, or of such arrays, as ``dumps`` lays it out."""
+    if items and isinstance(items[0], list):
+        items = [_array(row, indent + 2) for row in items]
+    pad = "\n" + " " * (indent + 2)
+    return "[%s%s\n%s]" % (pad, ("," + pad).join(items), " " * indent) if items else "[]"
+
+
+def dumps_analyze(n: int, values: np.ndarray, zero_multiplicity: int, condition: bool,
+                  decomp: ReachDecomposition, basis: NullBasis | None) -> str:
+    """``dumps`` of the ``analyze`` object: one ``%`` template, each float array in one batch."""
+    template = ('{\n  "decomposition": {\n    "common": %s,\n    "d": %d,\n    "exclusive": %s,\n'
+                '    "order": %s,\n    "reaches": %s,\n    "reaching": %s\n  },\n  "n": %d,\n'
+                '  "null_basis": %s,\n  "spectrum": %s,\n  "spectrum_condition": %s,\n'
+                '  "zero_multiplicity": %d\n}\n')
+    spectrum = _array(['{\n      "im": %s,\n      "re": %s\n    }'] * len(values), 2) % tuple(
+        _floats(np.column_stack([values.imag, values.real])))
+    common, exclusive, reaches, reaching = (_array([[str(i) for i in sorted(s)] for s in sets])
+                                            for sets in (decomp.common, decomp.exclusive,
+                                                         decomp.reaches, decomp.reaching))
+    null = "null" if basis is None else '{\n    "d": %d,\n    "gammas": %s,\n    "mus": %s\n  }' % (
+        basis.d, _array(list(map(_floats, basis.gammas))), _array(list(map(_floats, basis.mus))))
+    return template % (common, decomp.d, exclusive, _array(list(map(str, decomp.order))), reaches,
+                       reaching, n, null, spectrum, ("false", "true")[condition], zero_multiplicity)

@@ -25,8 +25,9 @@ import scipy.linalg
 
 from .errors import NumericsError, PremiseError
 from .graph import EdgePerturbation, SignedDigraph, laplacian, matrix_scale
-from .spectral import (ZERO_TOL, block_spectrum, eigenvalues, helmert_basis,
-                       reduced_laplacian, spectrum_condition)
+from .reach import is_strongly_connected
+from .spectral import (ZERO_TOL, block_spectrum, helmert_basis, reduced_laplacian,
+                       spectrum_condition)
 
 logger = logging.getLogger(__name__)
 
@@ -236,31 +237,40 @@ def effective_resistance_undirected(g_plus: SignedDigraph, u: int, v: int) -> Ef
             raise PremiseError("undirected resistance requires positive weights")
         if abs(w - g_plus.weight(j, i)) > 1e-12:
             raise PremiseError(f"asymmetric weights on pair ({i}, {j})")
-    L = laplacian(g_plus)
+    if not is_strongly_connected(g_plus):
+        raise PremiseError("graph is disconnected")
     Q = helmert_basis(g_plus.n)
-    lbar = reduced_laplacian(L, Q)
-    sym = 0.5 * (lbar + lbar.T)
-    eigs = np.linalg.eigvalsh(sym)
-    if eigs.min() < ZERO_TOL * max(matrix_scale(L), 1.0):
-        raise PremiseError("graph is disconnected (reduced Laplacian singular)")
+    lbar = reduced_laplacian(laplacian(g_plus), Q)
     _, c = _input_vectors(Q, u, v, 1.0, 1.0)
     value = float(c @ np.linalg.solve(lbar, c))
     return EffectiveResistance(value=value, method=EffectiveResistance.UNDIRECTED)
 
 
+def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real Schur form: a 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(-bc)."""
+    w = np.sqrt(-np.diag(T, 1) * np.diag(T, -1))  # 0 where the subdiagonal c is 0
+    return np.diag(T) + 1j * (np.append(w, 0.0) - np.append(0.0, w))
+
+
 def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
     """Solve Lbar S + S Lbar^T = I by the dense Schur (Bartels-Stewart) method.
 
-    Solvable iff no two eigenvalues of Lbar sum to zero; violation raises.
+    One real Schur form ``Z T Z^T`` of Lbar gives the eigenvalues and feeds LAPACK ``trsyl``
+    as scipy's ``solve_continuous_lyapunov`` does.  Solvable iff no two eigenvalues sum to 0.
     """
-    values = eigenvalues(lbar)
+    if not np.isfinite(lbar).all():
+        raise NumericsError("Lyapunov equation with a non-finite Lbar")
+    T, Z = scipy.linalg.schur(lbar, output="real")
+    values = _schur_eigenvalues(T)
     scale = max(matrix_scale(lbar), 1.0)
-    sums = np.abs(values[:, None] + values[None, :].conj())
-    if sums.min() < ZERO_TOL * scale:
+    if np.abs(values[:, None] + values[None, :].conj()).min() < ZERO_TOL * scale:
         raise PremiseError("Lyapunov equation unsolvable: eigenvalues sum to zero")
-    m = lbar.shape[0]
-    sigma = scipy.linalg.solve_continuous_lyapunov(lbar, np.eye(m))
-    residual = np.abs(lbar @ sigma + sigma @ lbar.T - np.eye(m)).max()
+    eye = np.eye(lbar.shape[0])
+    y, s, info = scipy.linalg.lapack.dtrsyl(T, T, Z.T.dot(eye.dot(Z)), tranb="T")
+    if info != 0:
+        raise NumericsError(f"Lyapunov Schur solve failed (trsyl info {info})")
+    sigma = Z.dot(y * s).dot(Z.T)
+    residual = np.abs(lbar @ sigma + sigma @ lbar.T - eye).max()
     if residual > 1e-8 * scale:
         raise NumericsError(f"Lyapunov residual too large: {residual:.3e}")
     return sigma

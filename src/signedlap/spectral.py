@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .errors import NumericsError, PremiseError
 from .graph import matrix_scale
-from .reach import ReachDecomposition, _strong_components
+from .reach import ReachDecomposition, _membership, _strong_components
 
 #: relative threshold under which an eigenvalue counts as zero
 ZERO_TOL = 1e-9
@@ -118,31 +119,27 @@ class NullBasis:
 def null_basis(L: np.ndarray, decomp: ReachDecomposition) -> NullBasis:
     """Right and left zero-eigenvectors of a nonnegative-weight Laplacian, one per reach.
 
-    Right vectors are 1 on the exclusive entries and 0 outside the reach; the
-    common entries solve ``L_CC x = -L_{C,X} 1`` (LU with partial pivoting).
-    Left vectors sum to 1 on U_k: the U_k diagonal block of L is the Laplacian
-    of a strongly connected subgraph, so its left kernel is one-dimensional,
-    found by LU on the transposed block with the last row replaced by the
-    normalization row.
+    Right vectors are 1 on the exclusive entries and 0 outside the reach; on the union C
+    of the common sets, all d solve ``L_CC x = -L_{C,X_k} 1`` by one sparse LU of L_CC.
+    Left vectors sum to 1 on U_k: the U_k diagonal block of L is the Laplacian of a
+    strongly connected subgraph, so its left kernel is one-dimensional, found by LU on
+    the transposed block with the last row replaced by the normalization row.
     """
-    if (L[~np.eye(L.shape[0], dtype=bool)] > 0).any():
+    rows, cols = np.divmod(np.flatnonzero(L != 0), L.shape[0])
+    vals = L[rows, cols]
+    if (vals[rows != cols] > 0).any():
         raise PremiseError("null vectors require nonnegative weights")
     scale = matrix_scale(L)
-    gammas = np.zeros((decomp.d, L.shape[0]))
-    mus = np.zeros((decomp.d, L.shape[0]))
-    for k in range(decomp.d):
-        gamma = gammas[k]
-        gamma[[i - 1 for i in decomp.exclusive[k]]] = 1.0
-        c_idx = [i - 1 for i in sorted(decomp.common[k])]
-        if c_idx:
-            x_idx = [i - 1 for i in sorted(decomp.exclusive[k])]
-            rhs = -L[np.ix_(c_idx, x_idx)] @ np.ones(len(x_idx))
-            try:
-                gamma[c_idx] = np.linalg.solve(L[np.ix_(c_idx, c_idx)], rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NumericsError(
-                    f"common block of reach {k + 1} is singular"
-                ) from exc
+    _, X, C = _membership(decomp, L.shape[0])
+    gammas, mus = X.astype(float), np.zeros(X.shape)
+    c_idx = np.flatnonzero(C.any(axis=0))
+    if c_idx.size:  # a common node outside R_k has no edge into R_k, so x_k is 0 there
+        common = scipy.sparse.csr_array((vals, (rows, cols)), shape=L.shape)[c_idx]
+        try:  # L_CC is a nonsingular M-matrix, so its diagonal pivots need no row exchange
+            lu = scipy.sparse.linalg.splu(common[:, c_idx].tocsc(), diag_pivot_thresh=0.0)
+        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+            raise NumericsError(f"common block is singular: {exc}") from exc
+        gammas[:, c_idx] = np.where(C[:, c_idx], lu.solve(-(common @ gammas.T)).T, 0.0)
     for k in range(decomp.d):
         u_idx = [i - 1 for i in sorted(decomp.reaching[k])]
         block = L[np.ix_(u_idx, u_idx)]

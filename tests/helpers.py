@@ -1,6 +1,6 @@
 """Test-only constructions and checks: alternative bases, block permutations, matchings,
-and the per-step simulation, per-value CSVs and per-pair JSON that the fast paths must
-reproduce."""
+and the per-step simulation, per-value CSVs, per-object JSON and per-reach dense null basis
+that the fast paths must reproduce."""
 
 from __future__ import annotations
 
@@ -12,17 +12,25 @@ import scipy.optimize
 
 from signedlap import (
     EdgePerturbation,
+    NullBasis,
     NumericsError,
     PremiseError,
     ReachDecomposition,
     SignedDigraph,
+    block_spectrum,
     classify_pair,
     eigenvalues,
+    laplacian,
+    matrix_scale,
+    null_basis,
     r_value,
     reach_decomposition,
+    spectrum_condition,
     verify_sensitive_pairs,
+    zero_multiplicity,
 )
 from signedlap.perturb import CLASS_COND1, CLASS_COND2
+from signedlap.report import sig15
 from signedlap.simulate import OVERFLOW_LIMIT, SimulationTrace
 
 
@@ -177,3 +185,72 @@ def reference_sensitive_json(g: SignedDigraph, eps: float) -> str:
         for p, ok in zip(pairs, verified)
     ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def spectrum_json(values: np.ndarray) -> list[dict]:
+    return [{"re": sig15(z.real), "im": sig15(z.imag)} for z in np.asarray(values)]
+
+
+def decomposition_json(decomp: ReachDecomposition) -> dict:
+    return {
+        "d": decomp.d,
+        "reaches": [sorted(r) for r in decomp.reaches],
+        "reaching": [sorted(r) for r in decomp.reaching],
+        "exclusive": [sorted(r) for r in decomp.exclusive],
+        "common": [sorted(r) for r in decomp.common],
+        "order": list(decomp.order),
+    }
+
+
+def null_basis_json(basis: NullBasis) -> dict:
+    return {
+        "d": basis.d,
+        "gammas": [[sig15(x) for x in row] for row in basis.gammas],
+        "mus": [[sig15(x) for x in row] for row in basis.mus],
+    }
+
+
+def analyze_json(n: int, values: np.ndarray, zero_mult: int, condition: bool,
+                 decomp: ReachDecomposition, basis: NullBasis | None) -> str:
+    """``report.dumps_analyze``'s arguments as one dict per object, through ``json.dumps``."""
+    payload = {
+        "n": n,
+        "spectrum": spectrum_json(values),
+        "zero_multiplicity": zero_mult,
+        "spectrum_condition": condition,
+        "decomposition": decomposition_json(decomp),
+        "null_basis": None if basis is None else null_basis_json(basis),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_analyze_json(g: SignedDigraph, positive_only: bool = False) -> str:
+    """``signedlap analyze``'s JSON, built one dict per object."""
+    L = laplacian(g)
+    values, scale = block_spectrum(L), matrix_scale(L)
+    decomp = reach_decomposition(g, positive_only=positive_only)
+    return analyze_json(g.n, values, zero_multiplicity(values, scale),
+                        spectrum_condition(values, scale), decomp,
+                        null_basis(L, decomp) if g.nonnegative else None)
+
+
+def reference_null_basis(L: np.ndarray, decomp: ReachDecomposition) -> np.ndarray:
+    """The gammas from one dense LU per reach, ``L_{C_k C_k} x = -L_{C_k X_k} 1``.
+
+    One step of iterative refinement, the residual taken in ``np.longdouble``, brings the
+    error down to about eps for weights spread over many decades, where the bare partially
+    pivoted LU errs by up to ~1e-12.
+    """
+    gammas = np.zeros((decomp.d, L.shape[0]))
+    for k in range(decomp.d):
+        gamma = gammas[k]
+        gamma[[i - 1 for i in decomp.exclusive[k]]] = 1.0
+        c_idx = [i - 1 for i in sorted(decomp.common[k])]
+        if c_idx:
+            x_idx = [i - 1 for i in sorted(decomp.exclusive[k])]
+            rhs = -L[np.ix_(c_idx, x_idx)] @ np.ones(len(x_idx))
+            block = L[np.ix_(c_idx, c_idx)]
+            x = np.linalg.solve(block, rhs)
+            residual = rhs - block.astype(np.longdouble) @ x.astype(np.longdouble)
+            gamma[c_idx] = x + np.linalg.solve(block, residual.astype(float))
+    return gammas

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from signedlap.simulate import consensus_reached, default_dt, default_horizon, s
 from signedlap.spectral import ZERO_TOL
 
 from conftest import DEFECTIVE_ZERO, bisection_delta_star
-from helpers import reference_rk4, reference_sensitive_json, reference_trace_csv
+from helpers import (reference_analyze_json, reference_rk4, reference_sensitive_json,
+                     reference_trace_csv)
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +61,30 @@ def test_analyze_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["n"] == 12
+
+
+@pytest.mark.parametrize("positive_only", [False, True])
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.txt")))
+def test_analyze_matches_the_dict_reference_on_every_data_graph(tmp_path, capsys, name,
+                                                                positive_only):
+    flag = ["--positive-only"] if positive_only else []
+    want = reference_analyze_json(parse_edge_list((DATA / name).read_text()), positive_only)
+    code, out, _ = run(capsys, "analyze", "--graph", str(DATA / name), *flag)
+    assert code == 0 and out == want
+    path = tmp_path / "analyze.json"
+    code, out, _ = run(capsys, "analyze", "--graph", str(DATA / name), *flag, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_analyze_singular_common_block_exit_code(tmp_path, capsys):
+    # the 1e20 cycle on the common nodes 1, 2 absorbs their unit edges to the sinks 3, 4 in
+    # the diagonal, so L_CC = [[1e20, -1e20], [-1e20, 1e20]] is exactly singular
+    path = tmp_path / "singular.txt"
+    path.write_text("4\n1 2 1e20\n2 1 1e20\n1 3 1\n2 4 1\n")
+    code, out, err = run(capsys, "analyze", "--graph", str(path))
+    assert code == 4 and out == ""
+    assert "common block is singular" in err
 
 
 def test_delta_star_cli(tmp_path, capsys):
@@ -366,6 +392,47 @@ def test_resistance_asymmetric_exit(capsys, tmp_path):
     code, _, _ = run(capsys, "resistance", "--graph", str(g), "--pair", "1", "2",
                      "--mode", "undirected")
     assert code == 3
+
+
+def test_resistance_undirected_accepts_a_connected_wide_weight_path(tmp_path, capsys):
+    # connected, but the reduced Laplacian's smallest eigenvalue, 1.5e-5, sits below
+    # ZERO_TOL * ||L||_inf = 2e-4, which the old spectral connectivity test refused
+    path = tmp_path / "path.txt"
+    path.write_text("3\n1 2 1e5\n2 1 1e5\n2 3 1e-5\n3 2 1e-5\n")
+    code, out, _ = run(capsys, "resistance", "--graph", str(path), "--pair", "1", "3",
+                       "--mode", "undirected")
+    assert code == 0
+    assert json.loads(out)["r_uv"] == pytest.approx(1 / 1e5 + 1 / 1e-5, rel=1e-6)
+
+
+def test_resistance_directed_non_finite_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.txt"  # node 1's degree overflows to inf
+    path.write_text("3\n1 2 1.7e308\n2 3 1.7e308\n3 1 1.7e308\n1 3 1.7e308\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "resistance", "--graph", str(path), "--pair", "1", "2")
+    assert code == 4 and out == ""
+    assert "non-finite" in err
+
+
+def test_resistance_matches_the_api_on_every_data_graph(capsys):
+    solvers = {"undirected": signedlap.effective_resistance_undirected,
+               "directed": signedlap.effective_resistance_directed}
+    accepted = dict.fromkeys(solvers, 0)
+    for path in sorted(DATA.glob("*.txt")):
+        g = parse_edge_list(path.read_text())
+        for (mode, solve), (u, v) in itertools.product(
+                solvers.items(), itertools.permutations(range(1, g.n + 1), 2)):
+            code, out, _ = run(capsys, "resistance", "--graph", str(path),
+                               "--pair", str(u), str(v), "--mode", mode)
+            try:
+                res = solve(g, u, v)
+            except signedlap.PremiseError:
+                assert code == 3
+                continue
+            want = {"method": res.method, "r_uv": report.sig15(res.value)}
+            assert code == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+            accepted[mode] += 1
+    assert all(accepted.values())  # triangle.txt takes both modes
 
 
 def test_analyze_positive_only_flag(tmp_path, capsys):

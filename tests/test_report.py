@@ -8,20 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from signedlap import NumericsError, nyquist_sweep, r_value
+from signedlap import NullBasis, NumericsError, ReachDecomposition, nyquist_sweep, r_value
 from signedlap.report import (
     delta_star_json,
     dumps,
+    dumps_analyze,
     dumps_sensitive,
     sig15,
-    spectrum_json,
     sweep_csv,
     trace_csv,
 )
 from signedlap.robustness import DeltaStarResult
 from signedlap.simulate import SimulationTrace
 
-from helpers import reference_sweep_csv, reference_trace_csv
+from helpers import analyze_json, reference_sweep_csv, reference_trace_csv, spectrum_json
 
 
 def test_sig15():
@@ -30,6 +30,8 @@ def test_sig15():
     assert sig15(math.inf) == "inf"
     assert sig15(-math.inf) == "-inf"
     assert sig15(math.nan) == "nan"
+    assert sig15(1.7976931348623157e308) == "inf"  # rounds to 1.79769313486232e+308
+    assert sig15(-1.7976931348623157e308) == "-inf"
 
 
 def test_spectrum_json_fields():
@@ -148,6 +150,40 @@ def test_dumps_sensitive_matches_dumps_of_the_dict_payload(data):
 
 def test_dumps_sensitive_of_no_pairs():
     assert dumps_sensitive(np.empty((0, 2), dtype=np.intp), np.empty(0, dtype=bool), []) == "[]\n"
+
+
+#: values whose repr differs from their %.15g text: -0, non-finite, exponent -5, 15 and 16,
+#: 17 significant digits, and the largest float, whose 15-digit rounding overflows
+JSON_VALUES = st.floats() | st.sampled_from(
+    (-0.0, math.inf, -math.inf, math.nan, 1e-5, 1.5e15, 123456789012345.0, 1e16, 0.1 + 0.2,
+     1.7976931348623157e308))
+
+
+@st.composite
+def analyze_arguments(draw):
+    """``dumps_analyze``'s arguments with arbitrary floats, sets and node lists."""
+    n, d = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    values = np.empty(n, dtype=complex)  # filled part by part, as re + 1j * im mixes in nans
+    values.real = draw(arrays(float, n, elements=JSON_VALUES))
+    values.imag = draw(arrays(float, n, elements=JSON_VALUES))
+    if draw(st.booleans()):  # block_spectrum returns a real array when every block's is real
+        values = values.real.copy()
+    sets = [draw(st.lists(st.frozensets(st.integers(1, 30), max_size=5), min_size=d, max_size=d))
+            for _ in range(4)]
+    if draw(st.booleans()):
+        sets[3] = [frozenset()] * d  # no common nodes
+    order = draw(st.lists(st.integers(1, 30), max_size=n))
+    decomp = ReachDecomposition(d, *map(tuple, sets), order=tuple(order))
+    basis = draw(st.none() | st.builds(
+        NullBasis, st.just(d), arrays(float, (d, n), elements=JSON_VALUES),
+        arrays(float, (d, n), elements=JSON_VALUES)))
+    return n, values, draw(st.integers(0, n)), draw(st.booleans()), decomp, basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=analyze_arguments())
+def test_dumps_analyze_matches_dumps_of_the_dict_payload(args):
+    assert dumps_analyze(*args) == analyze_json(*args)
 
 
 def test_r_value_singular_system():

@@ -16,6 +16,7 @@ from signedlap import (
     delta_star,
     effective_resistance_directed,
     effective_resistance_undirected,
+    eigenvalues,
     helmert_basis,
     laplacian,
     nyquist_sweep,
@@ -32,7 +33,7 @@ from signedlap.robustness import (
 )
 
 from conftest import bisection_delta_star, random_premise_graph
-from helpers import householder_basis, rank_one_spectrum_check
+from helpers import householder_basis, match_predictions, rank_one_spectrum_check
 
 
 def lbar_of(g):
@@ -273,6 +274,26 @@ def test_solve_lyapunov_random_residual():
         recon = lbar @ sigma + sigma @ lbar.T - np.eye(6)
         assert np.abs(recon).max() < 1e-8
         assert np.abs(sigma - sigma.T).max() < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 24))
+def test_solve_lyapunov_is_scipys_solve_from_one_schur_form(seed, m):
+    rng = np.random.default_rng(seed)
+    # a random matrix shifted into the open right half plane keeps its complex pairs
+    lbar = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-2, 2)
+    lbar += (rng.uniform(0.1, 1.0) - eigenvalues(lbar).real.min()) * np.eye(m)
+    assert np.array_equal(solve_lyapunov(lbar),
+                          scipy.linalg.solve_continuous_lyapunov(lbar, np.eye(m)))
+    T = scipy.linalg.schur(lbar, output="real")[0]
+    scale = max(np.abs(lbar).sum(axis=1).max(), 1.0)
+    assert match_predictions(robustness._schur_eigenvalues(T), eigenvalues(lbar)) <= 1e-10 * scale
+
+
+def test_schur_eigenvalues_read_the_two_by_two_blocks():
+    rotation = np.array([[2.0, -3.0], [0.75, 2.0]])  # 2 +- i sqrt(2.25)
+    T = scipy.linalg.block_diag(rotation, [[5.0]])
+    assert_allclose(robustness._schur_eigenvalues(T), [2 + 1.5j, 2 - 1.5j, 5.0])
 
 
 def test_solve_lyapunov_unsolvable():

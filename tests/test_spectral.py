@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
+    NumericsError,
     PremiseError,
     SignedDigraph,
     block_spectrum,
@@ -20,7 +21,7 @@ from signedlap import (
 )
 
 from conftest import random_multi_reach_graph, random_premise_graph, random_signed_digraph
-from helpers import householder_basis, match_predictions
+from helpers import householder_basis, match_predictions, reference_null_basis
 
 
 def multiset_close(a, b, tol):
@@ -195,6 +196,40 @@ def test_null_vector_invariants_random():
             assert mu.sum() == pytest.approx(1.0, abs=1e-12)
         assert_allclose(basis.gammas.sum(axis=0), np.ones(g.n), atol=1e-9)
         assert_allclose(basis.mus @ basis.gammas.T, np.eye(decomp.d), atol=1e-9)
+
+
+@st.composite
+def wide_multi_reach_graphs(draw):
+    """``random_multi_reach_graph`` with each weight scaled by 10^U(-3, 3)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_multi_reach_graph(rng, blocks=draw(st.integers(2, 4)),
+                                 block_size=draw(st.integers(1, 4)),
+                                 commons=draw(st.integers(1, 8)))
+    return SignedDigraph(g.n, {k: w * 10.0 ** rng.uniform(-3, 3) for k, w in g.edges.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=wide_multi_reach_graphs())
+def test_null_basis_matches_the_dense_per_reach_solve(g):
+    L = laplacian(g)
+    decomp = reach_decomposition(g)
+    basis = null_basis(L, decomp)
+    for got, want in zip(basis.gammas, reference_null_basis(L, decomp)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    # on a nonnegative graph the gammas are absorption probabilities
+    assert basis.gammas.min() >= 0.0 and basis.gammas.max() <= 1.0
+    assert_allclose(basis.mus @ basis.gammas.T, np.eye(decomp.d), rtol=0, atol=1e-10)
+
+
+def test_null_basis_refuses_a_singular_common_block(reach12_uniform):
+    decomp = reach_decomposition(reach12_uniform)
+    L = laplacian(reach12_uniform)
+    # cut the common nodes off the reaches: L_CC becomes a Laplacian, singular
+    common = np.array(sorted(frozenset().union(*decomp.common))) - 1
+    L[np.ix_(common, np.setdiff1d(np.arange(L.shape[0]), common))] = 0.0
+    L[common, common] -= L[common].sum(axis=1)
+    with pytest.raises(NumericsError, match="common block is singular"):
+        null_basis(L, decomp)
 
 
 def test_null_vectors_reject_negative_weights(mixed5):
