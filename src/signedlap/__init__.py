@@ -10,12 +10,7 @@ from .graph import (
     superpose,
 )
 from .perturb import (
-    PairClassification,
-    ThetaMatrix,
-    classify_pair,
-    first_order_zero_eigenvalues,
     sensitive_pairs,
-    theta_matrix,
     verify_sensitive_pairs,
 )
 from .reach import (
@@ -24,12 +19,10 @@ from .reach import (
     condensation,
     is_strongly_connected,
     reach_decomposition,
-    reachable_set,
 )
 from .robustness import (
     DeltaStarResult,
     EffectiveResistance,
-    check_spectrum_condition,
     delta_star,
     effective_resistance_directed,
     effective_resistance_undirected,

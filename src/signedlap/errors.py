@@ -2,7 +2,14 @@
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed edge-list input (bad line, bad ids, duplicates, ...)."""
+    """Raised for malformed edge-list input (bad line, bad ids, duplicates, ...).
+
+    ``edge`` is the key of the edge at fault, None when the fault is not one edge's.
+    """
+
+    def __init__(self, message: str, edge: object = None) -> None:
+        super().__init__(message)
+        self.edge = edge
 
 
 class PremiseError(ValueError):

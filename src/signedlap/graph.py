@@ -11,6 +11,7 @@ The Laplacian is ``L = D - A`` with ``D`` the diagonal of signed out-degrees
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -28,13 +29,12 @@ CANCEL_TOL = 1e-12
 MAX_LAPLACIAN_BYTES = 2**30
 
 
-def _refuse_large(n: int, where: str = "") -> None:
-    """Refuse a node count whose dense Laplacian would exceed ``MAX_LAPLACIAN_BYTES``."""
-    if 8 * n * n > MAX_LAPLACIAN_BYTES:
-        raise PremiseError(
-            f"{where}{n} nodes need a {8 * n * n / 2**30:.3g} GiB Laplacian, "
-            f"above the {MAX_LAPLACIAN_BYTES / 2**30:g} GiB limit (MAX_LAPLACIAN_BYTES)"
-        )
+def _integer(x: object, what: str, edge: Edge | None = None) -> int:
+    """``x`` as a Python int; an integer-valued float or a string is refused, not converted."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphFormatError(f"{what} must be an integer, got {x!r}", edge) from None
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,27 @@ class SignedDigraph:
     edges: Mapping[Edge, float]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GraphFormatError(f"node count must be >= 1, got {self.n}")
-        _refuse_large(self.n)
+        """The one check of node count, node ids and weights; an error names its edge."""
+        n = _integer(self.n, "node count")
+        if n < 1:
+            raise GraphFormatError(f"node count must be >= 1, got {n}")
+        if 8 * n * n > MAX_LAPLACIAN_BYTES:
+            raise PremiseError(
+                f"{n} nodes need a {8 * n * n / 2**30:.3g} GiB Laplacian, "
+                f"above the {MAX_LAPLACIAN_BYTES / 2**30:g} GiB limit (MAX_LAPLACIAN_BYTES)"
+            )
         clean: dict[Edge, float] = {}
-        for (i, j), w in self.edges.items():
+        for key, w in self.edges.items():
+            i, j = _integer(key[0], "node id", key), _integer(key[1], "node id", key)
             if i == j:
-                raise GraphFormatError(f"self-loop on node {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise GraphFormatError(f"edge ({i}, {j}) out of range 1..{self.n}")
+                raise GraphFormatError(f"self-loop on node {i}", key)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise GraphFormatError(f"edge ({i}, {j}) out of range 1..{n}", key)
             w = float(w)
             if not np.isfinite(w) or abs(w) < CANCEL_TOL:
-                raise GraphFormatError(f"edge ({i}, {j}) has zero or non-finite weight {w}")
-            clean[(int(i), int(j))] = w
+                raise GraphFormatError(f"edge ({i}, {j}) has zero or non-finite weight {w}", key)
+            clean[(i, j)] = w
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", MappingProxyType(clean))
 
     def weight(self, i: int, j: int) -> float:
@@ -118,9 +126,12 @@ def parse_edge_list(text: str) -> SignedDigraph:
 
     The first non-comment line is the node count, each following line is
     ``i j w`` (1-indexed ids, decimal weight).  ``#`` starts a comment that
-    runs to the end of the line; blank lines are ignored.
+    runs to the end of the line; blank lines are ignored.  The parser checks
+    the syntax and refuses duplicate edges; ``SignedDigraph`` judges the
+    count, ids and weights, and its verdict is reported at the line at fault.
     """
     n: int | None = None
+    lines: dict[Edge, int] = {}  # the line of each edge
     edges: dict[Edge, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,30 +142,27 @@ def parse_edge_list(text: str) -> SignedDigraph:
                 n = int(line)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: expected node count, got {line!r}")
-            if n < 1:
-                raise GraphFormatError(f"line {lineno}: node count must be >= 1")
-            _refuse_large(n, f"line {lineno}: ")
+            count_line = lineno
             continue
         parts = line.split()
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'i j w', got {line!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            key = int(parts[0]), int(parts[1])
             w = float(parts[2])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: expected 'i j w', got {line!r}")
-        if i == j:
-            raise GraphFormatError(f"line {lineno}: self-loop on node {i}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphFormatError(f"line {lineno}: node id out of range 1..{n}")
-        if (i, j) in edges:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({i}, {j})")
-        if not np.isfinite(w) or abs(w) < CANCEL_TOL:
-            raise GraphFormatError(f"line {lineno}: zero weight on edge ({i}, {j})")
-        edges[(i, j)] = w
+        if key in edges:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
+        edges[key] = w
+        lines[key] = lineno
     if n is None:
         raise GraphFormatError("empty input: missing node count")
-    return SignedDigraph(n, edges)
+    try:
+        return SignedDigraph(n, edges)
+    except (GraphFormatError, PremiseError) as exc:  # an error of no one edge is the count's
+        line = lines.get(getattr(exc, "edge", None), count_line)
+        raise type(exc)(f"line {line}: {exc}") from None
 
 
 def laplacian(g: SignedDigraph) -> np.ndarray:

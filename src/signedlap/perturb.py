@@ -1,119 +1,43 @@
 """First-order behavior of the zero eigenvalue group under negative coupling.
 
-For a nonnegative base graph with ``d >= 2`` reaches, adding edges with
-infinitesimal negative weights moves the ``d`` zero eigenvalues of the
-Laplacian along the eigenvalues of the small matrix ``Theta = M L2 G`` built
-from the left/right zero-eigenvector bases and the perturbation Laplacian.
-The sign of the diagonal of Theta is decided purely by set membership of the
-perturbed pair, which is what makes "sensitive pairs" a combinatorial notion.
-
-The bases use the sum-normalized vectors (mus sum to 1 over their reaching
-set, gammas as constructed), for which ``M G = I_d`` holds exactly; diagonal
-signs are invariant under any positive rescaling of the bases.
+For a nonnegative base graph with ``d >= 2`` reaches, a new edge (u, v) of
+weight -eps adds ``eps L2``, ``L2 = -e_u (e_u - e_v)^T``, to the Laplacian.
+To first order its ``d`` zero eigenvalues move to eps times the eigenvalues
+of the d x d matrix ``Theta = M L2 G``, the rows of M the mus and the
+columns of G the gammas of ``spectral.null_basis`` (``M G = I_d``).  So
+``Theta_kk = -mu_k[u] (gamma_k[u] - gamma_k[v])``.  mu_k[u] is nonzero only
+in the reach i where u is reaching, if any, and there gamma_i[u] = 1: the
+trace of Theta is ``-mu_i[u] (1 - gamma_i[v])``, negative when v is
+exclusive to another reach (Cond1, gamma_i[v] = 0) or common (Cond2,
+gamma_i[v] < 1).  Then an eigenvalue of Theta, and for small eps one of the
+perturbed Laplacian, has negative real part.  Set membership alone decides
+the class, which makes "sensitive pairs" a combinatorial notion.
+``tests/helpers.py`` keeps ``theta_matrix`` and the one-pair
+``classify_pair`` as the references the tests hold this module to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PremiseError
 from .graph import CANCEL_TOL, SignedDigraph, laplacian
-from .reach import (Condensation, ReachDecomposition, _edges, _membership, condensation,
-                    reach_decomposition)
-from .spectral import ZERO_TOL, NullBasis, _diagonal_blocks, eigenvalues
+from .reach import Condensation, _edges, _membership, condensation, reach_decomposition
+from .spectral import _diagonal_blocks, zero_threshold
 
 CLASS_COND1 = "Cond1"
 CLASS_COND2 = "Cond2"
-CLASS_REMARK4A = "Remark4a"
-CLASS_REMARK4B = "Remark4b"
-CLASS_OTHER = "Other"
 
 SIGN_NEGATIVE = "Negative"
-SIGN_ZERO = "Zero"
 
 #: pairs whose rows of L' are patched together, and the floats (VERIFY_CHUNK * m) of
 #: one stacked eigensolve of m x m merged blocks: the workspace stays near
 #: VERIFY_CHUNK * n floats at any pair count, and on the multi-reach benchmark
 #: graphs (n = 30-54) 512 runs as fast as one unbounded stack
 VERIFY_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class ThetaMatrix:
-    """d x d first-order coupling matrix."""
-
-    theta: np.ndarray  # shape (d, d)
-
-
-@dataclass(frozen=True)
-class PairClassification:
-    """Membership class of an ordered node pair and the implied Theta sign."""
-
-    u: int
-    v: int
-    kind: str
-    theta_sign: str
-
-
-def theta_matrix(g1: SignedDigraph, decomp: ReachDecomposition,
-                 basis: NullBasis, g2: SignedDigraph) -> ThetaMatrix:
-    """Theta[i, j] = mu_i^T L2 gamma_j for the perturbation graph g2.
-
-    g1 must be nonnegative with d >= 2 reaches; g2 must consist of new edges
-    (disjoint from g1's) with strictly negative weights.
-    """
-    if not g1.nonnegative:
-        raise PremiseError("base graph must have nonnegative weights")
-    if decomp.d < 2:
-        raise PremiseError(f"need at least two reaches, got d={decomp.d}")
-    if g2.n != g1.n:
-        raise PremiseError("perturbation graph must share the node set")
-    for key, w in g2.edges.items():
-        if key in g1.edges:
-            raise PremiseError(f"perturbation edge {key} already exists in the base graph")
-        if w >= 0:
-            raise PremiseError(f"perturbation edge {key} must have negative weight")
-    return ThetaMatrix(theta=basis.mus @ laplacian(g2) @ basis.gammas.T)
-
-
-def first_order_zero_eigenvalues(theta: ThetaMatrix, eps: float) -> np.ndarray:
-    """Predicted zero-group eigenvalues of L1 + eps * L2, i.e. eps * eig(Theta)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return eigenvalues(theta.theta) * eps
-
-
-def classify_pair(decomp: ReachDecomposition, u: int, v: int) -> PairClassification:
-    """Deterministic membership class, checked in a fixed order.
-
-    Cond1 (u reaching in some reach, v exclusive elsewhere) and Cond2
-    (u reaching, v common anywhere) force a negative Theta diagonal entry;
-    the Remark4 classes and every pair with a non-reaching source leave the
-    diagonal at zero, so first-order analysis is inconclusive for them.
-    """
-    if u == v:
-        raise ValueError("pair endpoints must differ")
-    u_home = [k for k in range(decomp.d) if u in decomp.reaching[k]]
-    if u_home:
-        i = u_home[0]
-        for j in range(decomp.d):
-            if v in decomp.exclusive[j]:
-                if j != i:
-                    return PairClassification(u, v, CLASS_COND1, SIGN_NEGATIVE)
-                return PairClassification(u, v, CLASS_REMARK4A, SIGN_ZERO)
-        if any(v in decomp.common[j] for j in range(decomp.d)):
-            return PairClassification(u, v, CLASS_COND2, SIGN_NEGATIVE)
-        return PairClassification(u, v, CLASS_OTHER, SIGN_ZERO)
-    for i in range(decomp.d):
-        if u in decomp.reaches[i] and u not in decomp.reaching[i]:
-            for j in range(decomp.d):
-                if j != i and v in decomp.reaches[j]:
-                    return PairClassification(u, v, CLASS_REMARK4B, SIGN_ZERO)
-    return PairClassification(u, v, CLASS_OTHER, SIGN_ZERO)
 
 
 def sensitive_pairs(g1: SignedDigraph,
@@ -126,9 +50,9 @@ def sensitive_pairs(g1: SignedDigraph,
     edges).  Raises when the graph has a single reach.  ``cond``, when given,
     must be ``condensation(g1)``.
 
-    The classes are those of ``classify_pair``, for every pair at once: each
-    node is reaching in at most one reach (its home) and exclusive in at most
-    one.  A reaching u is exclusive at home, so no pair (u, u) is listed.
+    The classes are decided for every pair at once: each node is reaching in
+    at most one reach (its home) and exclusive in at most one.  A reaching u
+    is exclusive at home, so no pair (u, u) is listed.
     """
     if not g1.nonnegative:
         raise PremiseError("sensitive pairs are defined for nonnegative base graphs")
@@ -151,7 +75,7 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: np.ndarray | Sequence[tuple
 
     The answer is that of an eigensolve of the full perturbed Laplacian L'
     (the base graph superposed with the edge, a cancelled edge dropped), with
-    real parts within ``ZERO_TOL * max(||L'||_inf, 1)`` of zero not counted,
+    real parts within ``zero_threshold(||L'||_inf)`` of zero not counted,
     so a borderline outcome reports False; an eps that overflows a row sum of
     L' raises ``ValueError``.  ``cond``, when given, must be ``condensation(g1)``.
 
@@ -220,5 +144,5 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: np.ndarray | Sequence[tuple
                 at_u = (nodes < i[q[sel], None]).sum(axis=1)
                 blocks[np.arange(sel.size), at_u] = np.take_along_axis(rows[r[sel]], nodes, axis=1)
                 low[sel] = np.minimum(low[sel], np.linalg.eigvals(blocks).real.min(axis=1))
-        out[p] = low[block_of] < -ZERO_TOL * np.maximum(scale, 1.0)
+        out[p] = low[block_of] < -zero_threshold(scale)
     return out.tolist()

@@ -105,18 +105,6 @@ def _nodes(mask: np.ndarray) -> frozenset[int]:
     return frozenset((np.flatnonzero(mask) + 1).tolist())
 
 
-def reachable_set(g: SignedDigraph, i: int, positive_only: bool = False) -> frozenset[int]:
-    """Nodes with a stored-orientation path into ``i`` (the nodes ``i`` influences).
-
-    Edge existence is sign-agnostic by default; ``positive_only=True`` walks
-    positive edges only.
-    """
-    if not (1 <= i <= g.n):
-        raise ValueError(f"node {i} out of range 1..{g.n}")
-    cond = condensation(g, positive_only)
-    return _nodes(cond.closure[cond.labels, cond.labels[i - 1]])
-
-
 def reach_decomposition(g: SignedDigraph, positive_only: bool = False,
                         cond: Condensation | None = None) -> ReachDecomposition:
     """Compute all reach sets and the derived U/X/C partition.

@@ -26,8 +26,8 @@ import scipy.linalg
 from .errors import NumericsError, PremiseError
 from .graph import EdgePerturbation, SignedDigraph, laplacian, matrix_scale
 from .reach import is_strongly_connected
-from .spectral import (ZERO_TOL, block_spectrum, helmert_basis, reduced_laplacian,
-                       spectrum_condition)
+from .spectral import (block_spectrum, helmert_basis, reduced_laplacian, spectrum_condition,
+                       zero_threshold)
 
 logger = logging.getLogger(__name__)
 
@@ -138,12 +138,6 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     values = np.append(np.concatenate(parts), 0j)
     values.imag[omegas == 0.0] = 0.0  # G(j0) is real; drop the complex Schur rounding
     return omegas, values
-
-
-def check_spectrum_condition(g: SignedDigraph) -> bool:
-    """True iff L has exactly one zero eigenvalue and the rest lie in Re > 0."""
-    L = laplacian(g)
-    return spectrum_condition(block_spectrum(L), matrix_scale(L))
 
 
 def _crossing_frequencies(lbar1: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -262,8 +256,8 @@ def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
         raise NumericsError("Lyapunov equation with a non-finite Lbar")
     T, Z = scipy.linalg.schur(lbar, output="real")
     values = _schur_eigenvalues(T)
-    scale = max(matrix_scale(lbar), 1.0)
-    if np.abs(values[:, None] + values[None, :].conj()).min() < ZERO_TOL * scale:
+    scale = matrix_scale(lbar)
+    if np.abs(values[:, None] + values[None, :].conj()).min() < zero_threshold(scale):
         raise PremiseError("Lyapunov equation unsolvable: eigenvalues sum to zero")
     eye = np.eye(lbar.shape[0])
     y, s, info = scipy.linalg.lapack.dtrsyl(T, T, Z.T.dot(eye.dot(Z)), tranb="T")
@@ -271,7 +265,7 @@ def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
         raise NumericsError(f"Lyapunov Schur solve failed (trsyl info {info})")
     sigma = Z.dot(y * s).dot(Z.T)
     residual = np.abs(lbar @ sigma + sigma @ lbar.T - eye).max()
-    if residual > 1e-8 * scale:
+    if residual > 1e-8 * max(scale, 1.0):
         raise NumericsError(f"Lyapunov residual too large: {residual:.3e}")
     return sigma
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import PremiseError
 from .graph import matrix_scale
-from .spectral import ZERO_TOL, block_spectrum
+from .spectral import block_spectrum, zero_threshold
 
 #: states beyond this magnitude terminate the trace as diverged
 OVERFLOW_LIMIT = 1e150
@@ -35,8 +35,7 @@ def default_dt(L: np.ndarray) -> float:
 def default_horizon(L: np.ndarray) -> float:
     """50 time constants of the slowest stable mode, else 100."""
     values = block_spectrum(L)
-    thr = ZERO_TOL * max(matrix_scale(L), 1.0)
-    positive = values.real[values.real > thr]
+    positive = values.real[values.real > zero_threshold(matrix_scale(L))]
     if positive.size:
         return float(50.0 / positive.min())
     return 100.0

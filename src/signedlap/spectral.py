@@ -20,6 +20,12 @@ from .reach import ReachDecomposition, _membership, _strong_components
 ZERO_TOL = 1e-9
 
 
+def zero_threshold(scale: float | np.ndarray) -> float | np.ndarray:
+    """``ZERO_TOL * max(scale, 1)``, elementwise for an array of scales: the magnitude
+    under which a value counts as zero next to a matrix of infinity norm ``scale``."""
+    return ZERO_TOL * np.maximum(scale, 1.0)
+
+
 def helmert_basis(n: int) -> np.ndarray:
     """(n-1) x n matrix with orthonormal rows spanning the complement of 1.
 
@@ -90,13 +96,13 @@ def block_spectrum(L: np.ndarray) -> np.ndarray:
 
 
 def zero_multiplicity(values: np.ndarray, scale: float) -> int:
-    """Number of eigenvalues within ``ZERO_TOL * max(scale, 1)`` of zero."""
-    return int(np.sum(np.abs(values) < ZERO_TOL * max(scale, 1.0)))
+    """Number of eigenvalues within ``zero_threshold(scale)`` of zero."""
+    return int(np.sum(np.abs(values) < zero_threshold(scale)))
 
 
 def spectrum_condition(values: np.ndarray, scale: float) -> bool:
-    """One eigenvalue within ``ZERO_TOL * max(scale, 1)`` of zero, the rest with Re above that."""
-    thr = ZERO_TOL * max(scale, 1.0)
+    """One eigenvalue within ``zero_threshold(scale)`` of zero, the rest with Re above that."""
+    thr = zero_threshold(scale)
     near_zero = np.abs(values) < thr
     return int(near_zero.sum()) == 1 and bool(np.all(near_zero | (values.real > thr)))
 
@@ -129,7 +135,7 @@ def null_basis(L: np.ndarray, decomp: ReachDecomposition) -> NullBasis:
     vals = L[rows, cols]
     if (vals[rows != cols] > 0).any():
         raise PremiseError("null vectors require nonnegative weights")
-    scale = matrix_scale(L)
+    tol = zero_threshold(matrix_scale(L))
     _, X, C = _membership(decomp, L.shape[0])
     gammas, mus = X.astype(float), np.zeros(X.shape)
     c_idx = np.flatnonzero(C.any(axis=0))
@@ -154,7 +160,7 @@ def null_basis(L: np.ndarray, decomp: ReachDecomposition) -> NullBasis:
                 f"reaching block of reach {k + 1} has a degenerate kernel"
             ) from exc
         residual = np.abs(nu @ block).max()
-        if residual > ZERO_TOL * max(scale, 1.0):
+        if residual > tol:
             raise NumericsError(
                 f"reaching block of reach {k + 1} has kernel dimension != 1 "
                 f"(residual {residual:.3e})"

@@ -10,13 +10,14 @@ import pytest
 from signedlap import (
     EdgePerturbation,
     SignedDigraph,
-    check_spectrum_condition,
     helmert_basis,
     laplacian,
     parse_edge_list,
     reduced_laplacian,
     superpose,
 )
+
+from helpers import check_spectrum_condition
 
 DATA = Path(__file__).parent / "data"
 

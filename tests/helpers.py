@@ -1,11 +1,13 @@
 """Test-only constructions and checks: alternative bases, block permutations, matchings,
-and the per-step simulation, per-value CSVs, per-object JSON and per-reach dense null basis
+the paper's first-order Theta matrix and one-pair classes, one-node reachable sets, and
+the per-step simulation, per-value CSVs, per-object JSON and per-reach dense null basis
 that the fast paths must reproduce."""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -18,7 +20,7 @@ from signedlap import (
     ReachDecomposition,
     SignedDigraph,
     block_spectrum,
-    classify_pair,
+    condensation,
     eigenvalues,
     laplacian,
     matrix_scale,
@@ -29,9 +31,101 @@ from signedlap import (
     verify_sensitive_pairs,
     zero_multiplicity,
 )
-from signedlap.perturb import CLASS_COND1, CLASS_COND2
+from signedlap.perturb import CLASS_COND1, CLASS_COND2, SIGN_NEGATIVE
 from signedlap.report import sig15
 from signedlap.simulate import OVERFLOW_LIMIT, SimulationTrace
+
+
+CLASS_REMARK4A = "Remark4a"
+CLASS_REMARK4B = "Remark4b"
+CLASS_OTHER = "Other"
+
+SIGN_ZERO = "Zero"
+
+
+@dataclass(frozen=True)
+class PairClassification:
+    """Membership class of an ordered node pair and the implied Theta sign."""
+
+    u: int
+    v: int
+    kind: str
+    theta_sign: str
+
+
+def theta_matrix(g1: SignedDigraph, decomp: ReachDecomposition,
+                 basis: NullBasis, g2: SignedDigraph) -> np.ndarray:
+    """The d x d matrix Theta[i, j] = mu_i^T L2 gamma_j for the perturbation graph g2.
+
+    g1 must be nonnegative with d >= 2 reaches; g2 must consist of new edges
+    (disjoint from g1's) with strictly negative weights.
+    """
+    if not g1.nonnegative:
+        raise PremiseError("base graph must have nonnegative weights")
+    if decomp.d < 2:
+        raise PremiseError(f"need at least two reaches, got d={decomp.d}")
+    if g2.n != g1.n:
+        raise PremiseError("perturbation graph must share the node set")
+    for key, w in g2.edges.items():
+        if key in g1.edges:
+            raise PremiseError(f"perturbation edge {key} already exists in the base graph")
+        if w >= 0:
+            raise PremiseError(f"perturbation edge {key} must have negative weight")
+    return basis.mus @ laplacian(g2) @ basis.gammas.T
+
+
+def first_order_zero_eigenvalues(theta: np.ndarray, eps: float) -> np.ndarray:
+    """Predicted zero-group eigenvalues of L1 + eps * L2, i.e. eps * eig(Theta)."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    return eigenvalues(theta) * eps
+
+
+def classify_pair(decomp: ReachDecomposition, u: int, v: int) -> PairClassification:
+    """Deterministic membership class, checked in a fixed order.
+
+    Cond1 (u reaching in some reach, v exclusive elsewhere) and Cond2
+    (u reaching, v common anywhere) force a negative Theta diagonal entry;
+    the Remark4 classes and every pair with a non-reaching source leave the
+    diagonal at zero, so first-order analysis is inconclusive for them.
+    """
+    if u == v:
+        raise ValueError("pair endpoints must differ")
+    u_home = [k for k in range(decomp.d) if u in decomp.reaching[k]]
+    if u_home:
+        i = u_home[0]
+        for j in range(decomp.d):
+            if v in decomp.exclusive[j]:
+                if j != i:
+                    return PairClassification(u, v, CLASS_COND1, SIGN_NEGATIVE)
+                return PairClassification(u, v, CLASS_REMARK4A, SIGN_ZERO)
+        if any(v in decomp.common[j] for j in range(decomp.d)):
+            return PairClassification(u, v, CLASS_COND2, SIGN_NEGATIVE)
+        return PairClassification(u, v, CLASS_OTHER, SIGN_ZERO)
+    for i in range(decomp.d):
+        if u in decomp.reaches[i] and u not in decomp.reaching[i]:
+            for j in range(decomp.d):
+                if j != i and v in decomp.reaches[j]:
+                    return PairClassification(u, v, CLASS_REMARK4B, SIGN_ZERO)
+    return PairClassification(u, v, CLASS_OTHER, SIGN_ZERO)
+
+
+def reachable_set(g: SignedDigraph, i: int, positive_only: bool = False) -> frozenset[int]:
+    """Nodes with a stored-orientation path into ``i`` (the nodes ``i`` influences).
+
+    Edge existence is sign-agnostic by default; ``positive_only=True`` walks
+    positive edges only.
+    """
+    if not (1 <= i <= g.n):
+        raise ValueError(f"node {i} out of range 1..{g.n}")
+    cond = condensation(g, positive_only)
+    return frozenset((np.flatnonzero(cond.closure[cond.labels, cond.labels[i - 1]]) + 1).tolist())
+
+
+def check_spectrum_condition(g: SignedDigraph) -> bool:
+    """True iff L has exactly one zero eigenvalue and the rest lie in Re > 0."""
+    L = laplacian(g)
+    return spectrum_condition(block_spectrum(L), matrix_scale(L))
 
 
 def split_signs(g: SignedDigraph) -> tuple[SignedDigraph, SignedDigraph]:

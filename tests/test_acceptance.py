@@ -17,7 +17,6 @@ from signedlap import (
     consensus_reached,
     delta_star,
     eigenvalues,
-    first_order_zero_eigenvalues,
     helmert_basis,
     laplacian,
     matrix_scale,
@@ -28,7 +27,6 @@ from signedlap import (
     simulate,
     solve_lyapunov,
     superpose,
-    theta_matrix,
 )
 from signedlap.robustness import REGIME_NECESSARY_AND_SUFFICIENT
 from signedlap.simulate import default_dt, default_horizon
@@ -41,7 +39,14 @@ from conftest import (
     random_premise_graph,
     random_undirected_connected,
 )
-from helpers import householder_basis, match_predictions, rank_one_spectrum_check, zero_group
+from helpers import (
+    first_order_zero_eigenvalues,
+    householder_basis,
+    match_predictions,
+    rank_one_spectrum_check,
+    theta_matrix,
+    zero_group,
+)
 
 
 @contextmanager
@@ -186,7 +191,7 @@ def test_criterion_5_property_suites():
             if u == v or (u, v) in g1.edges:
                 continue
             g2 = SignedDigraph(g1.n, {(u, v): -float(rng.uniform(0.1, 2.0))})
-            theta = theta_matrix(g1, decomp, basis, g2).theta
+            theta = theta_matrix(g1, decomp, basis, g2)
             for i in range(decomp.d):
                 if u not in decomp.reaching[i] or v in decomp.exclusive[i]:
                     assert abs(theta[i, i]) <= 1e-12

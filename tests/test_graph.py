@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -40,21 +42,34 @@ def test_parse_comments_and_crlf():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, expected",  # expected: the message's "line N: " prefix and a fragment of the rest
     [
-        "3\n1 1 5\n",  # self-loop
-        "3\n1 2 5\n1 2 3\n",  # duplicate
-        "3\n1 4 5\n",  # out of range
-        "3\n1 2 0\n",  # zero weight
-        "3\n1 2\n",  # malformed
-        "3\nx 2 1\n",  # malformed ids
-        "",  # missing count
-        "0\n",  # bad count
+        pytest.param(text, expected, id=text)
+        for text, expected in [
+            ("3\n1 1 5\n", ("line 2: ", "self-loop on node 1")),
+            ("3\n1 2 5\n1 2 3\n", ("line 3: ", "duplicate edge (1, 2)")),
+            ("3\n1 4 5\n", ("line 2: ", "edge (1, 4) out of range 1..3")),
+            ("3\n1 2 0\n", ("line 2: ", "zero or non-finite weight 0.0")),
+            ("3\n1 2\n", ("line 2: ", "expected 'i j w'")),  # malformed
+            ("3\nx 2 1\n", ("line 2: ", "expected 'i j w'")),  # malformed ids
+            ("", ("", "missing node count")),
+            ("0\n", ("line 1: ", "node count must be >= 1")),
+            ("3\n1 2 1e400\n", ("line 2: ", "non-finite weight inf")),
+            ("3\n1 2 nan\n", ("line 2: ", "non-finite weight nan")),
+            (f"3\n1 {10**25} 1\n", ("line 2: ", f"edge (1, {10**25}) out of range 1..3")),
+            # comments and blank lines count: the bad weight sits on line 6
+            ("# graph\n\n3 # nodes\n1 2 1\n\n2 3 0\n3 1 1\n", ("line 6: ", "edge (2, 3)")),
+            ("\n# no count yet\n0\n1 2 1\n", ("line 3: ", "node count must be >= 1")),
+        ]
     ],
 )
-def test_parse_rejects(text):
-    with pytest.raises(GraphFormatError):
+def test_parse_rejects(text, expected):
+    prefix, fragment = expected
+    with pytest.raises(GraphFormatError) as info:
         parse_edge_list(text)
+    message = str(info.value)
+    assert message.startswith(prefix) and not message[len(prefix):].startswith("line ")
+    assert fragment in message
 
 
 def test_laplacian_single_edge():
@@ -169,6 +184,20 @@ def test_graph_validation():
         SignedDigraph(2, {(1, 3): 1.0})
     with pytest.raises(GraphFormatError):
         SignedDigraph(2, {(1, 2): 0.0})
+
+
+def test_graph_refuses_non_integer_node_count_and_ids():
+    for n in (2.5, "3", np.float64(3.0)):
+        with pytest.raises(GraphFormatError, match=re.escape(f"got {n!r}")):
+            SignedDigraph(n, {})
+    for key, bad in ((("1", 2), "'1'"), ((1, 2.0), "2.0"), ((1.5, 2), "1.5")):
+        message = f"node id must be an integer, got {re.escape(bad)}$"
+        with pytest.raises(GraphFormatError, match=message) as info:
+            SignedDigraph(3, {key: 1.0})
+        assert info.value.edge == key
+    g = SignedDigraph(np.int64(3), {(np.int64(1), np.int32(2)): 1.0, (np.uint8(3), 1): 2.0})
+    assert (g.n, dict(g.edges)) == (3, {(1, 2): 1.0, (3, 1): 2.0})
+    assert all(type(i) is int for key in g.edges for i in (g.n, *key))
 
 
 def test_edge_perturbation():

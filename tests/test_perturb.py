@@ -7,19 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from signedlap import (
-    PairClassification,
     PremiseError,
     SignedDigraph,
-    classify_pair,
     eigenvalues,
-    first_order_zero_eigenvalues,
     laplacian,
     matrix_scale,
     null_basis,
     reach_decomposition,
     sensitive_pairs,
     superpose,
-    theta_matrix,
     verify_sensitive_pairs,
 )
 from signedlap import perturb
@@ -27,16 +23,23 @@ from signedlap.graph import CANCEL_TOL
 from signedlap.perturb import (
     CLASS_COND1,
     CLASS_COND2,
-    CLASS_OTHER,
-    CLASS_REMARK4A,
-    CLASS_REMARK4B,
     SIGN_NEGATIVE,
-    SIGN_ZERO,
 )
 from signedlap.spectral import ZERO_TOL
 
 from conftest import DEFECTIVE_ZERO, load_graph, random_multi_reach_graph
-from helpers import match_predictions, zero_group
+from helpers import (
+    CLASS_OTHER,
+    CLASS_REMARK4A,
+    CLASS_REMARK4B,
+    SIGN_ZERO,
+    PairClassification,
+    classify_pair,
+    first_order_zero_eigenvalues,
+    match_predictions,
+    theta_matrix,
+    zero_group,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +74,15 @@ def test_theta_reference_signs(reach12_uniform, uniform_decomp, uniform_basis):
     # reaching -> other exclusive: strictly negative diagonal entry
     g2 = SignedDigraph(12, {(7, 4): -1.0})
     theta = theta_matrix(reach12_uniform, uniform_decomp, uniform_basis, g2)
-    assert theta.theta[2, 2] < -1e-12
+    assert theta[2, 2] < -1e-12
     # reaching -> own exclusive: exact zero
     g2 = SignedDigraph(12, {(3, 4): -1.0})
     theta = theta_matrix(reach12_uniform, uniform_decomp, uniform_basis, g2)
-    assert theta.theta[1, 1] == pytest.approx(0.0, abs=1e-12)
+    assert theta[1, 1] == pytest.approx(0.0, abs=1e-12)
     # source off every reaching set: whole diagonal vanishes
     g2 = SignedDigraph(12, {(4, 8): -1.0, (6, 5): -1.0})
     theta = theta_matrix(reach12_uniform, uniform_decomp, uniform_basis, g2)
-    assert_allclose(np.diag(theta.theta), 0.0, atol=1e-12)
+    assert_allclose(np.diag(theta), 0.0, atol=1e-12)
 
 
 def test_theta_premise_checks(reach12_uniform, uniform_decomp, uniform_basis, mixed5):
@@ -115,7 +118,7 @@ def test_theta_sign_table_random():
         if u == v or (u, v) in g1.edges:
             continue
         g2 = SignedDigraph(g1.n, {(u, v): -float(rng.uniform(0.1, 2.0))})
-        theta = theta_matrix(g1, decomp, basis, g2).theta
+        theta = theta_matrix(g1, decomp, basis, g2)
         for i in range(decomp.d):
             if u not in decomp.reaching[i]:
                 assert theta[i, i] == pytest.approx(0.0, abs=1e-12)
@@ -142,7 +145,7 @@ def test_theta_trace_nonpositive_strict_iff_sensitive():
         if not edges:
             continue
         g2 = SignedDigraph(g1.n, edges)
-        theta = theta_matrix(g1, decomp, basis, g2).theta
+        theta = theta_matrix(g1, decomp, basis, g2)
         trace = float(np.trace(theta))
         assert trace <= 1e-12
         sensitive = any(

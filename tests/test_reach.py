@@ -14,14 +14,13 @@ from signedlap import (
     laplacian,
     matrix_scale,
     reach_decomposition,
-    reachable_set,
     zero_multiplicity,
 )
 from signedlap.reach import _validate, condensation
 from signedlap.spectral import eigenvalues
 
 from conftest import random_multi_reach_graph, random_premise_graph
-from helpers import permutation_matrix
+from helpers import permutation_matrix, reachable_set
 
 
 def closure_oracle(g):

@@ -12,7 +12,6 @@ from signedlap import (
     NumericsError,
     PremiseError,
     SignedDigraph,
-    check_spectrum_condition,
     delta_star,
     effective_resistance_directed,
     effective_resistance_undirected,
@@ -33,7 +32,8 @@ from signedlap.robustness import (
 )
 
 from conftest import bisection_delta_star, random_premise_graph
-from helpers import householder_basis, match_predictions, rank_one_spectrum_check
+from helpers import (check_spectrum_condition, householder_basis, match_predictions,
+                     rank_one_spectrum_check)
 
 
 def lbar_of(g):

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from signedlap import (
     EdgePerturbation,
     SignedDigraph,
-    check_spectrum_condition,
     consensus_reached,
     delta_star,
     laplacian,
@@ -23,7 +22,7 @@ from signedlap.errors import PremiseError
 from signedlap.simulate import OVERFLOW_LIMIT, default_dt, default_horizon, spread
 
 from conftest import random_premise_graph
-from helpers import reference_rk4
+from helpers import check_spectrum_condition, reference_rk4
 
 
 def test_zero_field_is_equilibrium():

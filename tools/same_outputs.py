@@ -1,0 +1,153 @@
+"""Check that two source trees of signedlap give the same CLI results.
+
+    python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds 1-10]
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories, for example that of a
+local ``git worktree add ../parent HEAD~1`` next to this checkout's own
+``src``.  Two versions of the package cannot share one interpreter, so each
+side runs in a fresh process of its own.  Both sides make the same calls
+through ``signedlap.cli.main``, in the same relative layout of a scratch
+directory:
+
+* on every graph of ``tests/data``: ``analyze`` (plain and with
+  ``--positive-only``), ``sensitive``, ``simulate`` (plain, and with a short
+  horizon and ``--out``), and on every ordered pair ``delta-star`` with
+  ``--sweep-out`` and ``resistance`` in both modes;
+* the calls of the four benchmark workloads that ``bench/workloads.py``
+  builds for each seed.
+
+For each call it compares the exit code, stdout, stderr and every file
+written through ``--out`` or ``--sweep-out``, prints the counts and each
+differing call, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import multiprocessing
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+BENCH = ROOT / "bench"
+WORKLOADS = ("delta-star", "sensitive", "simulate", "analyze")
+OUT_FLAGS = ("--out", "--sweep-out")
+
+
+def _data_calls() -> list[list[str]]:
+    """The calls on the graphs of ``tests/data``, copied to ``data/`` of the scratch directory."""
+    calls = []
+    for path in sorted(DATA.glob("*.txt")):
+        Path("data").mkdir(exist_ok=True)
+        graph, stem, text = f"data/{path.name}", path.stem, path.read_text(encoding="utf-8")
+        Path(graph).write_text(text, encoding="utf-8")
+        calls += [["analyze", "--graph", graph],
+                  ["analyze", "--graph", graph, "--positive-only"],
+                  ["sensitive", "--graph", graph],
+                  ["simulate", "--graph", graph],
+                  ["simulate", "--graph", graph, "--horizon", "1", "--out", f"{stem}-trace.csv"]]
+        n = int(next(s for s in (line.split("#", 1)[0] for line in text.splitlines()) if s.strip()))
+        for u, v in itertools.permutations(range(1, n + 1), 2):
+            pair = ["--pair", str(u), str(v)]
+            calls += [["delta-star", "--graph", graph, *pair,
+                       "--sweep-out", f"{stem}-sweep-{u}-{v}.csv"],
+                      ["resistance", "--graph", graph, *pair],
+                      ["resistance", "--graph", graph, *pair, "--mode", "undirected"]]
+    return calls
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
+    """Make every call with the package under ``src``; one (argv, outcome) per call.
+
+    The outcome holds the exit code (or the exception that escaped
+    ``cli.main``), the digest of stdout, stderr in full, and the digest of
+    each output file, or None for a file the call did not write.
+    """
+    sys.path[:0] = [src, str(BENCH)]
+    import signedlap.cli as cli
+    import workloads
+
+    os.chdir(workdir)
+    calls = _data_calls()
+    for name, seed in itertools.product(WORKLOADS, seeds):
+        Path(f"{name}-{seed}").mkdir()
+        wl = workloads.build(name, seed, Path(f"{name}-{seed}"))
+        calls += [c.argv for c in (wl.warmup, *wl.calls)]
+    results = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is an outcome to compare, not the end of the run
+            code = f"raised {exc!r}"
+        files = []
+        for flag, path in zip(argv, argv[1:]):
+            if flag in OUT_FLAGS:
+                written = Path(path)
+                files.append(_digest(written.read_text(encoding="utf-8"))
+                             if written.exists() else None)
+                written.unlink(missing_ok=True)
+        results.append((argv, (code, _digest(out.getvalue()), err.getvalue(), files)))
+    return results
+
+
+def _seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", help="src directory of the parent tree")
+    parser.add_argument("change_src", help="src directory of the changed tree")
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-10"),
+                        help="benchmark seeds, N or A-B (default 1-10)")
+    args = parser.parse_args()
+    # one BLAS thread, so that each side computes every float the same way on every run
+    os.environ.update({k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")})
+    # a worker makes one side's calls and exits, so each side imports its package afresh
+    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir, \
+            multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
+        sides = ((args.parent_src, parent_dir), (args.change_src, change_dir))
+        parent, change = pool.starmap(
+            run_side, [(str(Path(src).resolve()), args.seeds, workdir) for src, workdir in sides],
+            chunksize=1)
+
+    if [argv for argv, _ in parent] != [argv for argv, _ in change]:
+        print("error: the two sides made different calls", file=sys.stderr)
+        return 1
+    fields = ("exit code", "stdout", "stderr", "output files")
+    differ = {field: 0 for field in fields}
+    bad = 0
+    for (argv, a), (_, b) in zip(parent, change):
+        diff = [field for field, x, y in zip(fields, a, b) if x != y]
+        for field in diff:
+            differ[field] += 1
+        if diff:
+            bad += 1
+            print(f"differ in {', '.join(diff)}: {' '.join(argv)}")
+            if "stderr" in diff:
+                print(f"  parent stderr: {a[2].strip()}\n  change stderr: {b[2].strip()}")
+    nonzero = sum(code != 0 for _, (code, *_rest) in change)
+    print(f"{len(change)} calls ({nonzero} with a nonzero exit code on the change), "
+          f"{bad} differ: " + ", ".join(f"{field} {k}" for field, k in differ.items()))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
