@@ -17,7 +17,6 @@ from .reach import (
     Condensation,
     ReachDecomposition,
     condensation,
-    is_strongly_connected,
     reach_decomposition,
 )
 from .robustness import (
@@ -34,7 +33,6 @@ from .simulate import SimulationTrace, consensus_reached, simulate
 from .spectral import (
     NullBasis,
     block_spectrum,
-    eigenvalues,
     helmert_basis,
     null_basis,
     reduced_laplacian,

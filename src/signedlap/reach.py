@@ -68,16 +68,11 @@ def _edges(g: SignedDigraph, positive_only: bool) -> tuple[np.ndarray, np.ndarra
     return rows, cols
 
 
-def _strong_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
-    """SCC count and labels of the digraph on nodes 0..n-1 with edges rows[e] -> cols[e]."""
+def _condense(n: int, rows: np.ndarray, cols: np.ndarray) -> Condensation:
     order = np.argsort(rows, kind="stable")
     indptr = np.searchsorted(rows[order], np.arange(n + 1))
     adjacency = scipy.sparse.csr_array((np.ones(len(rows)), cols[order], indptr), shape=(n, n))
-    return connected_components(adjacency, directed=True, connection="strong")
-
-
-def _condense(n: int, rows: np.ndarray, cols: np.ndarray) -> Condensation:
-    k, labels = _strong_components(n, rows, cols)
+    k, labels = connected_components(adjacency, directed=True, connection="strong")
     # scipy labels the components in reverse topological order (an edge between two leads
     # to the lower label), so in ascending label order each row's successors come first
     a, b = labels[rows], labels[cols]
@@ -150,11 +145,6 @@ def _membership(decomp: ReachDecomposition, n: int) -> np.ndarray:
         for k, nodes in enumerate(sets):
             m[k, np.fromiter(nodes, dtype=np.intp) - 1] = True
     return member
-
-
-def is_strongly_connected(g: SignedDigraph) -> bool:
-    """Every node reachable from every other along stored edges (sign-agnostic)."""
-    return _strong_components(g.n, *_edges(g, positive_only=False))[0] == 1
 
 
 def _validate(decomp: ReachDecomposition, labels: np.ndarray,

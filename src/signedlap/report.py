@@ -30,10 +30,10 @@ def delta_star_json(result: DeltaStarResult) -> dict[str, Any]:
         "crossings": [
             {"omega": sig15(w), "re": sig15(re)} for w, re in result.crossings
         ],
-        "omega_star": None if result.omega_star is None else sig15(result.omega_star),
+        "omega_star": sig15(result.omega_star),
         "regime": result.regime,
         "necessary_bound": sig15(result.necessary_bound),
-        "diagnostic": result.diagnostic,
+        "diagnostic": None,
     }
 
 

@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .errors import NumericsError, PremiseError
 from .graph import EdgePerturbation, SignedDigraph, laplacian, matrix_scale
-from .reach import is_strongly_connected
+from .reach import condensation
 from .spectral import (block_spectrum, helmert_basis, reduced_laplacian, spectrum_condition,
                        zero_threshold)
 
@@ -38,6 +38,8 @@ CROSSING_RE_TOL = 1e-12
 REAL_ZERO_RTOL = 1e-6
 #: relative slack when collecting the crossings that attain the maximum
 ACHIEVER_RTOL = 1e-9
+#: largest relative difference |w_ij - w_ji| / w_ij of an undirected graph's two directions
+SYMMETRY_RTOL = 1e-12
 #: crossings at w up to 1e-8 * max(scale, 1) are the w = 0 crossing itself
 OMEGA_ZERO_FACTOR = 1e-8
 #: a sweep sample with a Schur pivot |T_ii - j w| under this times ||Lbar1||, a few
@@ -61,10 +63,9 @@ class DeltaStarResult:
 
     delta_star: float
     crossings: tuple[tuple[float, float], ...]  # (omega, Re G) pairs, finite only
-    omega_star: float | None
-    regime: str | None
+    omega_star: float
+    regime: str
     necessary_bound: float
-    diagnostic: str | None = None
 
 
 def _input_vectors(Q: np.ndarray, u: int, v: int,
@@ -181,7 +182,7 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     u, v, q_uv, q_vu = pert.u, pert.v, pert.q_uv, pert.q_vu
     b, c = _input_vectors(Q, u, v, q_uv, q_vu)
     L1 = laplacian(g1)
-    values = block_spectrum(L1)
+    values = block_spectrum(L1, condensation(g1))
     if not spectrum_condition(values, matrix_scale(L1)):
         raise PremiseError(
             "base Laplacian must have one zero eigenvalue and all other "
@@ -229,9 +230,9 @@ def effective_resistance_undirected(g_plus: SignedDigraph, u: int, v: int) -> Ef
     for (i, j), w in g_plus.edges.items():
         if w <= 0:
             raise PremiseError("undirected resistance requires positive weights")
-        if abs(w - g_plus.weight(j, i)) > 1e-12:
+        if abs(w - g_plus.weight(j, i)) > SYMMETRY_RTOL * w:
             raise PremiseError(f"asymmetric weights on pair ({i}, {j})")
-    if not is_strongly_connected(g_plus):
+    if condensation(g_plus).k != 1:
         raise PremiseError("graph is disconnected")
     Q = helmert_basis(g_plus.n)
     lbar = reduced_laplacian(laplacian(g_plus), Q)
@@ -256,8 +257,9 @@ def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
         raise NumericsError("Lyapunov equation with a non-finite Lbar")
     T, Z = scipy.linalg.schur(lbar, output="real")
     values = _schur_eigenvalues(T)
-    scale = matrix_scale(lbar)
-    if np.abs(values[:, None] + values[None, :].conj()).min() < zero_threshold(scale):
+    # each sum lambda_i + conj(lambda_j) against the scale of its own two terms
+    sums = np.abs(values[:, None] + values[None, :].conj())
+    if (sums < zero_threshold(np.abs(values)[:, None] + np.abs(values)[None, :])).any():
         raise PremiseError("Lyapunov equation unsolvable: eigenvalues sum to zero")
     eye = np.eye(lbar.shape[0])
     y, s, info = scipy.linalg.lapack.dtrsyl(T, T, Z.T.dot(eye.dot(Z)), tranb="T")
@@ -265,7 +267,7 @@ def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
         raise NumericsError(f"Lyapunov Schur solve failed (trsyl info {info})")
     sigma = Z.dot(y * s).dot(Z.T)
     residual = np.abs(lbar @ sigma + sigma @ lbar.T - eye).max()
-    if residual > 1e-8 * max(scale, 1.0):
+    if residual > 1e-8 * max(matrix_scale(lbar), 1.0):
         raise NumericsError(f"Lyapunov residual too large: {residual:.3e}")
     return sigma
 

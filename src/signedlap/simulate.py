@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import PremiseError
 from .graph import matrix_scale
+from .reach import Condensation
 from .spectral import block_spectrum, zero_threshold
 
 #: states beyond this magnitude terminate the trace as diverged
@@ -32,9 +33,9 @@ def default_dt(L: np.ndarray) -> float:
     return 0.01 / max(1.0, matrix_scale(L))
 
 
-def default_horizon(L: np.ndarray) -> float:
-    """50 time constants of the slowest stable mode, else 100."""
-    values = block_spectrum(L)
+def default_horizon(L: np.ndarray, cond: Condensation) -> float:
+    """50 time constants of the slowest stable mode, else 100; ``cond`` as in ``block_spectrum``."""
+    values = block_spectrum(L, cond)
     positive = values.real[values.real > zero_threshold(matrix_scale(L))]
     if positive.size:
         return float(50.0 / positive.min())

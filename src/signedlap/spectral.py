@@ -14,7 +14,7 @@ import scipy.sparse.linalg
 
 from .errors import NumericsError, PremiseError
 from .graph import matrix_scale
-from .reach import ReachDecomposition, _membership, _strong_components
+from .reach import Condensation, ReachDecomposition, _membership
 
 #: relative threshold under which an eigenvalue counts as zero
 ZERO_TOL = 1e-9
@@ -50,21 +50,11 @@ def reduced_laplacian(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return Q @ L @ Q.T
 
 
-def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Full complex spectrum, sorted by real part then imaginary part."""
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got {M.shape}")
-    try:
-        vals = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigenvalue iteration failed: {exc}") from exc
-    return vals[np.lexsort((vals.imag, vals.real))]
-
-
 def _diagonal_blocks(M: np.ndarray, labels: np.ndarray):
     """Per block size, the labels c of the diagonal blocks ``M[b, b]``, ``b = labels == c``,
-    and their eigenvalues, one row per block: 1 x 1 blocks read off the diagonal, the
-    blocks of each other size in one stacked eigensolve.
+    and their eigenvalues, one row per block: 1 x 1 blocks read off the diagonal (LAPACK's
+    geev may round an entry outside about [1e-138, 1e138]), the blocks of each other size
+    in one stacked eigensolve, and one block of all of M as M itself, not a gathered copy.
     """
     sizes = np.bincount(labels)
     nodes = np.lexsort((labels, sizes[labels]))  # grouped by block size, then by block
@@ -72,26 +62,21 @@ def _diagonal_blocks(M: np.ndarray, labels: np.ndarray):
     for size, count in zip(*np.unique(sizes, return_counts=True)):
         idx = nodes[start:start + size * count].reshape(count, size)
         start += size * count
-        blocks = M[idx[:, :, None], idx[:, None, :]]
+        blocks = M[None] if size == len(M) else M[idx[:, :, None], idx[:, None, :]]
         yield labels[idx[:, 0]], blocks[:, :, 0] if size == 1 else np.linalg.eigvals(blocks)
 
 
-def block_spectrum(L: np.ndarray) -> np.ndarray:
-    """Spectrum of a Laplacian from its SCC diagonal blocks, sorted as ``eigenvalues``.
+def block_spectrum(L: np.ndarray, cond: Condensation) -> np.ndarray:
+    """Spectrum of a Laplacian from its SCC diagonal blocks, sorted by real then imaginary part.
 
-    Off the diagonal ``L[i, j] != 0`` iff edge (i, j) exists, so ordered by the SCCs L
-    is block triangular, with the spectrum of its diagonal blocks.  Solved apart, an
-    eigenvalue that coupled blocks share keeps its accuracy: one whole-matrix solve
-    sees a zero of two singular blocks as defective and splits it by about
-    sqrt(machine eps) * ||L||.  The 1 x 1 blocks' eigenvalues are exact.
+    ``cond`` is the sign-agnostic ``condensation`` of L's graph: off the diagonal
+    ``L[i, j] != 0`` iff edge (i, j) exists, so ordered by the SCCs L is block triangular,
+    with the spectrum of its diagonal blocks.  Solved apart, an eigenvalue that coupled
+    blocks share keeps its accuracy: one whole-matrix solve sees a zero of two singular
+    blocks as defective and splits it by about sqrt(machine eps) * ||L||.  The 1 x 1
+    blocks' eigenvalues are exact.
     """
-    n = L.shape[0]
-    pattern = L != 0
-    np.fill_diagonal(pattern, False)
-    k, labels = _strong_components(n, *np.divmod(np.flatnonzero(pattern), n))
-    if k == 1:
-        return eigenvalues(L)
-    vals = np.concatenate([v.ravel() for _, v in _diagonal_blocks(L, labels)])
+    vals = np.concatenate([v.ravel() for _, v in _diagonal_blocks(L, cond.labels)])
     return vals[np.lexsort((vals.imag, vals.real))]
 
 

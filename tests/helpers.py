@@ -21,7 +21,6 @@ from signedlap import (
     SignedDigraph,
     block_spectrum,
     condensation,
-    eigenvalues,
     laplacian,
     matrix_scale,
     null_basis,
@@ -72,6 +71,18 @@ def theta_matrix(g1: SignedDigraph, decomp: ReachDecomposition,
         if w >= 0:
             raise PremiseError(f"perturbation edge {key} must have negative weight")
     return basis.mus @ laplacian(g2) @ basis.gammas.T
+
+
+def eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Full complex spectrum from one dense solve, sorted by real part then imaginary part:
+    the reference that ``block_spectrum``'s SCC block solves are held to."""
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got {M.shape}")
+    try:
+        vals = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigenvalue iteration failed: {exc}") from exc
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def first_order_zero_eigenvalues(theta: np.ndarray, eps: float) -> np.ndarray:
@@ -125,7 +136,7 @@ def reachable_set(g: SignedDigraph, i: int, positive_only: bool = False) -> froz
 def check_spectrum_condition(g: SignedDigraph) -> bool:
     """True iff L has exactly one zero eigenvalue and the rest lie in Re > 0."""
     L = laplacian(g)
-    return spectrum_condition(block_spectrum(L), matrix_scale(L))
+    return spectrum_condition(block_spectrum(L, condensation(g)), matrix_scale(L))
 
 
 def split_signs(g: SignedDigraph) -> tuple[SignedDigraph, SignedDigraph]:
@@ -321,7 +332,7 @@ def analyze_json(n: int, values: np.ndarray, zero_mult: int, condition: bool,
 def reference_analyze_json(g: SignedDigraph, positive_only: bool = False) -> str:
     """``signedlap analyze``'s JSON, built one dict per object."""
     L = laplacian(g)
-    values, scale = block_spectrum(L), matrix_scale(L)
+    values, scale = block_spectrum(L, condensation(g)), matrix_scale(L)
     decomp = reach_decomposition(g, positive_only=positive_only)
     return analyze_json(g.n, values, zero_multiplicity(values, scale),
                         spectrum_condition(values, scale), decomp,

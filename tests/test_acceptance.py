@@ -14,9 +14,9 @@ from numpy.testing import assert_allclose
 from signedlap import (
     EdgePerturbation,
     SignedDigraph,
+    condensation,
     consensus_reached,
     delta_star,
-    eigenvalues,
     helmert_basis,
     laplacian,
     matrix_scale,
@@ -40,6 +40,7 @@ from conftest import (
     random_undirected_connected,
 )
 from helpers import (
+    eigenvalues,
     first_order_zero_eigenvalues,
     householder_basis,
     match_predictions,
@@ -258,7 +259,7 @@ def test_criterion_6_consensus_demonstration():
             pert = EdgePerturbation(3, 8, q_uv=1.0, q_vu=0.0, delta=delta)
             gp = superpose(g, pert.graph(8))
             L = laplacian(gp)
-            trace = simulate(L, x0, dt=default_dt(L), horizon=default_horizon(L))
+            trace = simulate(L, x0, dt=default_dt(L), horizon=default_horizon(L, condensation(gp)))
             outcomes[delta] = consensus_reached(trace)
         assert outcomes[1.5] is True
         assert outcomes[1.95] is False

@@ -10,7 +10,7 @@ import pytest
 
 import signedlap
 from signedlap import (EdgePerturbation, NumericsError, SignedDigraph, cli, delta_star, laplacian,
-                       matrix_scale, parse_edge_list, reach, report, spectral)
+                       matrix_scale, parse_edge_list, reach, report)
 from signedlap.cli import main
 from signedlap.simulate import consensus_reached, default_dt, default_horizon, spread
 from signedlap.spectral import ZERO_TOL
@@ -215,18 +215,29 @@ def test_sensitive_cli(capsys):
     assert (3, 4) not in entries
 
 
-def test_sensitive_condenses_the_graph_once(capsys, monkeypatch):
-    strong_components, runs = reach._strong_components, []
+@pytest.mark.parametrize("argv, runs", [
+    (["analyze", "--graph", "reach12.txt"], 1),
+    (["analyze", "--graph", "reach12.txt", "--positive-only"], 2),  # two edge sets
+    (["delta-star", "--graph", "spoked8.txt", "--pair", "3", "8"], 1),
+    (["sensitive", "--graph", "reach12.txt"], 1),
+    (["simulate", "--graph", "triangle.txt"], 1),
+    (["simulate", "--graph", "triangle.txt", "--horizon", "1"], 0),
+    (["resistance", "--graph", "triangle.txt", "--pair", "1", "2", "--mode", "undirected"], 1),
+    (["resistance", "--graph", "triangle.txt", "--pair", "1", "2", "--mode", "directed"], 0),
+], ids=["analyze", "analyze-positive-only", "delta-star", "sensitive", "simulate",
+        "simulate-horizon", "resistance-undirected", "resistance-directed"])
+def test_sensitive_condenses_the_graph_once(capsys, monkeypatch, argv, runs):
+    # scipy's SCC search runs only in reach._condense, so this counts the condensations
+    search, calls = reach.connected_components, []
 
-    def counted(n, rows, cols):
-        runs.append(n)
-        return strong_components(n, rows, cols)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
 
-    for module in (reach, spectral):
-        monkeypatch.setattr(module, "_strong_components", counted)
-    code, _, _ = run(capsys, "sensitive", "--graph", str(DATA / "reach12.txt"))
+    monkeypatch.setattr(reach, "connected_components", counted)
+    code, _, _ = run(capsys, *(str(DATA / a) if a.endswith(".txt") else a for a in argv))
     assert code == 0
-    assert runs == [12]
+    assert len(calls) == runs
 
 
 def test_sensitive_single_reach_exit(capsys, tmp_path):
@@ -338,8 +349,9 @@ def test_simulate_diverged_output_matches_per_step_pipeline(tmp_path, capsys):
     graph.write_text("2\n1 2 -5\n")  # node 1 moves away from node 2 at rate 5
     code, out, _ = run(capsys, "simulate", "--graph", str(graph), "--out", str(trace_path))
     assert code == 0
-    L = laplacian(SignedDigraph(2, {(1, 2): -5.0}))
-    dt, horizon = default_dt(L), default_horizon(L)
+    g = SignedDigraph(2, {(1, 2): -5.0})
+    L = laplacian(g)
+    dt, horizon = default_dt(L), default_horizon(L, reach.condensation(g))
     ref = reference_rk4(L, np.random.default_rng(42).uniform(-1.0, 1.0, 2), dt, horizon)
     verdict = {
         "consensus": consensus_reached(ref),
@@ -396,13 +408,18 @@ def test_resistance_asymmetric_exit(capsys, tmp_path):
 
 def test_resistance_undirected_accepts_a_connected_wide_weight_path(tmp_path, capsys):
     # connected, but the reduced Laplacian's smallest eigenvalue, 1.5e-5, sits below
-    # ZERO_TOL * ||L||_inf = 2e-4, which the old spectral connectivity test refused
+    # ZERO_TOL * ||L||_inf = 2e-4, and so does the smallest eigenvalue sum, 3e-5: a
+    # connectivity test or a Lyapunov solvability check on that one threshold refuses it
     path = tmp_path / "path.txt"
     path.write_text("3\n1 2 1e5\n2 1 1e5\n2 3 1e-5\n3 2 1e-5\n")
-    code, out, _ = run(capsys, "resistance", "--graph", str(path), "--pair", "1", "3",
-                       "--mode", "undirected")
-    assert code == 0
-    assert json.loads(out)["r_uv"] == pytest.approx(1 / 1e5 + 1 / 1e-5, rel=1e-6)
+    r_uv = {}
+    for mode in ("undirected", "directed"):
+        code, out, _ = run(capsys, "resistance", "--graph", str(path), "--pair", "1", "3",
+                           "--mode", mode)
+        assert code == 0
+        r_uv[mode] = json.loads(out)["r_uv"]
+    assert r_uv["directed"] == r_uv["undirected"]
+    assert r_uv["undirected"] == pytest.approx(1 / 1e5 + 1 / 1e-5, rel=1e-6)
 
 
 def test_resistance_directed_non_finite_exit_code(tmp_path, capsys):
@@ -515,3 +532,17 @@ def test_delta_star_wide_weights_match_the_bisection_oracle(capsys, tmp_path):
     oracle = bisection_delta_star(parse_edge_list(WIDE_WEIGHTS), EdgePerturbation(3, 5, 1.0, 1.0))
     assert payload["delta_star"] == pytest.approx(oracle, rel=1e-6)
     assert payload["regime"] == "SufficientOnly"
+
+
+@pytest.mark.parametrize("weight", ["1", pytest.param("1e-10", marks=pytest.mark.xfail(
+    strict=True, reason="zero_threshold floors the scale at 1, so the whole spectrum of the "
+    "cycle, of modulus about 1.7e-10, counts as zero (ROADMAP item 2)"))])
+def test_uniformly_scaled_cycle_keeps_its_spectrum_condition(capsys, tmp_path, weight):
+    # the spectrum scales with the weights: one zero and two eigenvalues 1.5 w +- 0.87 w j
+    path = tmp_path / "cycle.txt"
+    path.write_text(f"3\n1 2 {weight}\n2 3 {weight}\n3 1 {weight}\n")
+    _, out, _ = run(capsys, "analyze", "--graph", str(path))
+    payload = json.loads(out)
+    assert (payload["zero_multiplicity"], payload["spectrum_condition"]) == (1, True)
+    code, _, _ = run(capsys, "delta-star", "--graph", str(path), "--pair", "1", "3")
+    assert code == 0

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from signedlap import (
     PremiseError,
     SignedDigraph,
-    eigenvalues,
     laplacian,
     matrix_scale,
     null_basis,
@@ -35,6 +34,7 @@ from helpers import (
     SIGN_ZERO,
     PairClassification,
     classify_pair,
+    eigenvalues,
     first_order_zero_eigenvalues,
     match_predictions,
     theta_matrix,

@@ -10,17 +10,15 @@ from numpy.testing import assert_allclose
 from signedlap import (
     NumericsError,
     SignedDigraph,
-    is_strongly_connected,
     laplacian,
     matrix_scale,
     reach_decomposition,
     zero_multiplicity,
 )
 from signedlap.reach import _validate, condensation
-from signedlap.spectral import eigenvalues
 
 from conftest import random_multi_reach_graph, random_premise_graph
-from helpers import permutation_matrix, reachable_set
+from helpers import eigenvalues, permutation_matrix, reachable_set
 
 
 def closure_oracle(g):
@@ -70,7 +68,7 @@ def test_decomposition_reference(reach12):
 
 def test_decomposition_strongly_connected():
     g = SignedDigraph(3, {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0})
-    assert is_strongly_connected(g)
+    assert condensation(g).k == 1
     d = reach_decomposition(g)
     assert d.d == 1
     assert d.reaches[0] == d.exclusive[0] == d.reaching[0] == frozenset({1, 2, 3})

@@ -41,19 +41,18 @@ def test_spectrum_json_fields():
 
 def test_delta_star_json_handles_infinity():
     result = DeltaStarResult(
-        delta_star=math.inf,
-        crossings=((0.0, -0.25),),
-        omega_star=None,
-        regime=None,
+        delta_star=2.0,
+        crossings=((0.0, -0.25), (3.0, 0.5)),
+        omega_star=3.0,
+        regime="SufficientOnly",
         necessary_bound=math.inf,
-        diagnostic="no positive crossing",
     )
     payload = delta_star_json(result)
     text = dumps(payload)
     parsed = json.loads(text)  # stays strict JSON
-    assert parsed["delta_star"] == "inf"
-    assert parsed["regime"] is None
-    assert parsed["diagnostic"] == "no positive crossing"
+    assert parsed["necessary_bound"] == "inf"
+    assert parsed["omega_star"] == 3.0
+    assert parsed["diagnostic"] is None
 
 
 def test_sweep_csv_format():

@@ -15,7 +15,6 @@ from signedlap import (
     delta_star,
     effective_resistance_directed,
     effective_resistance_undirected,
-    eigenvalues,
     helmert_basis,
     laplacian,
     nyquist_sweep,
@@ -31,8 +30,8 @@ from signedlap.robustness import (
     _sweep_omegas,
 )
 
-from conftest import bisection_delta_star, random_premise_graph
-from helpers import (check_spectrum_condition, householder_basis, match_predictions,
+from conftest import bisection_delta_star, random_premise_graph, random_undirected_connected
+from helpers import (check_spectrum_condition, eigenvalues, householder_basis, match_predictions,
                      rank_one_spectrum_check)
 
 
@@ -98,7 +97,6 @@ def test_delta_star_fixture(spoked8):
     assert result.regime == REGIME_NECESSARY_AND_SUFFICIENT
     assert result.omega_star == 0.0
     assert result.necessary_bound == pytest.approx(result.delta_star, rel=1e-12)
-    assert result.diagnostic is None
 
 
 def test_delta_star_mixed5_symmetric_pair(mixed5):
@@ -246,9 +244,10 @@ def test_effective_resistance_undirected(triangle):
 
 
 def test_effective_resistance_undirected_rejects():
-    asym = SignedDigraph(2, {(1, 2): 1.0, (2, 1): 2.0})
-    with pytest.raises(PremiseError):
-        effective_resistance_undirected(asym, 1, 2)
+    for asym in (SignedDigraph(2, {(1, 2): 1.0, (2, 1): 2.0}),
+                 SignedDigraph(2, {(1, 2): 1e-12, (2, 1): 1.9e-12})):  # 90 % apart
+        with pytest.raises(PremiseError, match="asymmetric"):
+            effective_resistance_undirected(asym, 1, 2)
     disconnected = SignedDigraph(4, {(1, 2): 1.0, (2, 1): 1.0, (3, 4): 1.0, (4, 3): 1.0})
     with pytest.raises(PremiseError):
         effective_resistance_undirected(disconnected, 1, 3)
@@ -310,6 +309,32 @@ def test_effective_resistance_directed(triangle):
     undirected = effective_resistance_undirected(triangle, 2, 3).value
     directed = effective_resistance_directed(triangle, 2, 3).value
     assert directed == pytest.approx(undirected, abs=1e-8)
+
+
+@st.composite
+def wide_undirected_cases(draw, max_n=10):
+    """A connected undirected graph with weights 10^U(-3, 3) and two distinct nodes."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {}
+    for i, j in random_undirected_connected(rng, n).edges:
+        if i < j:
+            edges[(i, j)] = edges[(j, i)] = float(10.0 ** rng.uniform(-3, 3))
+    u, v = (int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+    return SignedDigraph(n, edges), u, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_undirected_cases())
+def test_delta_star_is_the_inverse_effective_resistance(case):
+    # Zelazo & Buerger: on a connected undirected graph the negative weight that the pair
+    # (u, v) bears before L gains a second zero eigenvalue is 1 / R_uv
+    g, u, v = case
+    result = delta_star(g, EdgePerturbation(u, v, 1.0, 1.0))
+    r_uv = effective_resistance_undirected(g, u, v).value
+    assert result.delta_star * r_uv == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert result.regime == REGIME_NECESSARY_AND_SUFFICIENT
+    assert effective_resistance_directed(g, u, v).value == pytest.approx(r_uv, rel=1e-8)
 
 
 def test_directed_resistance_differs_from_inverse_form():

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from signedlap import (
     EdgePerturbation,
     SignedDigraph,
+    condensation,
     consensus_reached,
     delta_star,
     laplacian,
@@ -98,7 +99,7 @@ def test_consensus_matches_spectrum_condition(spoked8):
         g = superpose(spoked8, pert.graph(8))
         L = laplacian(g)
         assert check_spectrum_condition(g) is expected
-        trace = simulate(L, x0, dt=default_dt(L), horizon=default_horizon(L))
+        trace = simulate(L, x0, dt=default_dt(L), horizon=default_horizon(L, condensation(g)))
         assert consensus_reached(trace) is expected
 
 
@@ -117,7 +118,7 @@ def test_consensus_agreement_random():
             moved = EdgePerturbation(int(u), int(v), 1.0, 1.0, factor * result.delta_star)
             gp = superpose(g, moved.graph(g.n))
             L = laplacian(gp)
-            trace = simulate(L, x0, dt=default_dt(L), horizon=default_horizon(L))
+            trace = simulate(L, x0, dt=default_dt(L), horizon=default_horizon(L, condensation(gp)))
             assert consensus_reached(trace) is check_spectrum_condition(gp)
         done += 1
 
