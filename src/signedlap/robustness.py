@@ -42,9 +42,10 @@ ACHIEVER_RTOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 #: crossings at w up to 1e-8 * max(scale, 1) are the w = 0 crossing itself
 OMEGA_ZERO_FACTOR = 1e-8
-#: a sweep sample with a Schur pivot |T_ii - j w| under this times ||Lbar1||, a few
-#: times the Schur form's backward error, sits on an eigenvalue and is skipped
-SWEEP_PIVOT_RTOL = 1e-13
+#: a Schur pivot under this times ||Lbar||, a few hundred times the Schur form's backward
+#: error, is roundoff of a zero: a sweep sample with |T_ii - j w| under it sits on an
+#: eigenvalue and is skipped, and a Lyapunov sum lambda_i + conj(lambda_j) under it is 0
+SCHUR_PIVOT_RTOL = 1e-13
 #: sweep frequencies back-substituted together, bounding the workspace
 SWEEP_CHUNK = 256
 #: the sweep samples w = 0 and this many log-spaced frequencies between
@@ -120,7 +121,7 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     T, Z = scipy.linalg.schur(lbar1, output="complex")
     omegas = _sweep_omegas(float(np.abs(np.diag(T)).max()))
     bt, ct = Z.conj().T @ b, Z.T @ c
-    tol = SWEEP_PIVOT_RTOL * max(matrix_scale(lbar1), 1.0)
+    tol = SCHUR_PIVOT_RTOL * max(matrix_scale(lbar1), 1.0)
     kept: list[np.ndarray] = []
     parts: list[np.ndarray] = []
     for start in range(0, omegas.size, SWEEP_CHUNK):
@@ -257,9 +258,11 @@ def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
         raise NumericsError("Lyapunov equation with a non-finite Lbar")
     T, Z = scipy.linalg.schur(lbar, output="real")
     values = _schur_eigenvalues(T)
-    # each sum lambda_i + conj(lambda_j) against the scale of its own two terms
+    scale = max(matrix_scale(lbar), 1.0)
+    # each sum lambda_i + conj(lambda_j) at the scale of its two terms, or of a zero's roundoff
     sums = np.abs(values[:, None] + values[None, :].conj())
-    if (sums < zero_threshold(np.abs(values)[:, None] + np.abs(values)[None, :])).any():
+    terms = np.abs(values)[:, None] + np.abs(values)[None, :]
+    if (sums < np.maximum(zero_threshold(terms), SCHUR_PIVOT_RTOL * scale)).any():
         raise PremiseError("Lyapunov equation unsolvable: eigenvalues sum to zero")
     eye = np.eye(lbar.shape[0])
     y, s, info = scipy.linalg.lapack.dtrsyl(T, T, Z.T.dot(eye.dot(Z)), tranb="T")
@@ -267,7 +270,7 @@ def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
         raise NumericsError(f"Lyapunov Schur solve failed (trsyl info {info})")
     sigma = Z.dot(y * s).dot(Z.T)
     residual = np.abs(lbar @ sigma + sigma @ lbar.T - eye).max()
-    if residual > 1e-8 * max(matrix_scale(lbar), 1.0):
+    if residual > 1e-8 * scale:
         raise NumericsError(f"Lyapunov residual too large: {residual:.3e}")
     return sigma
 

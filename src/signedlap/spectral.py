@@ -53,8 +53,8 @@ def reduced_laplacian(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def _diagonal_blocks(M: np.ndarray, labels: np.ndarray):
     """Per block size, the labels c of the diagonal blocks ``M[b, b]``, ``b = labels == c``,
     and their eigenvalues, one row per block: 1 x 1 blocks read off the diagonal (LAPACK's
-    geev may round an entry outside about [1e-138, 1e138]), the blocks of each other size
-    in one stacked eigensolve, and one block of all of M as M itself, not a gathered copy.
+    geev may round an entry outside about [1e-138, 1e138]) and the blocks of each other
+    size in one stacked eigensolve.
     """
     sizes = np.bincount(labels)
     nodes = np.lexsort((labels, sizes[labels]))  # grouped by block size, then by block
@@ -62,7 +62,7 @@ def _diagonal_blocks(M: np.ndarray, labels: np.ndarray):
     for size, count in zip(*np.unique(sizes, return_counts=True)):
         idx = nodes[start:start + size * count].reshape(count, size)
         start += size * count
-        blocks = M[None] if size == len(M) else M[idx[:, :, None], idx[:, None, :]]
+        blocks = M[idx[:, :, None], idx[:, None, :]]
         yield labels[idx[:, 0]], blocks[:, :, 0] if size == 1 else np.linalg.eigvals(blocks)
 
 
@@ -74,7 +74,8 @@ def block_spectrum(L: np.ndarray, cond: Condensation) -> np.ndarray:
     with the spectrum of its diagonal blocks.  Solved apart, an eigenvalue that coupled
     blocks share keeps its accuracy: one whole-matrix solve sees a zero of two singular
     blocks as defective and splits it by about sqrt(machine eps) * ||L||.  The 1 x 1
-    blocks' eigenvalues are exact.
+    blocks' eigenvalues are exact.  Nothing checks ``cond``: one finer than L's off-diagonal
+    pattern (of positive edges only, or from before a ``superpose``) gives a wrong spectrum.
     """
     vals = np.concatenate([v.ravel() for _, v in _diagonal_blocks(L, cond.labels)])
     return vals[np.lexsort((vals.imag, vals.real))]

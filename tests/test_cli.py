@@ -422,6 +422,17 @@ def test_resistance_undirected_accepts_a_connected_wide_weight_path(tmp_path, ca
     assert r_uv["undirected"] == pytest.approx(1 / 1e5 + 1 / 1e-5, rel=1e-6)
 
 
+def test_resistance_directed_refuses_two_components_with_large_weights(tmp_path, capsys):
+    # two sinks, so Lbar has an exact zero eigenvalue; computed, it is roundoff of about
+    # eps * ||Lbar|| = 1e-7, above the 1e-9 floor of a threshold scaled by the zero itself
+    path = tmp_path / "two.txt"
+    path.write_text("4\n1 2 1e8\n2 1 1e8\n3 4 1e8\n4 3 1e8\n")
+    for mode in ("directed", "undirected"):
+        code, out, err = run(capsys, "resistance", "--graph", str(path), "--pair", "1", "3",
+                             "--mode", mode)
+        assert code == 3 and out == ""
+
+
 def test_resistance_directed_non_finite_exit_code(tmp_path, capsys):
     path = tmp_path / "huge.txt"  # node 1's degree overflows to inf
     path.write_text("3\n1 2 1.7e308\n2 3 1.7e308\n3 1 1.7e308\n1 3 1.7e308\n")
