@@ -2,7 +2,7 @@
 
 Subcommands: analyze, delta-star, sensitive, simulate, resistance.
 Exit codes: 0 success, 2 input/parse error, 3 premise violation,
-4 numerical failure.
+4 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -202,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PREMISE
     except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # an allocation that no up-front limit refused
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_NUMERICAL
     except (GraphFormatError, OSError, UnicodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

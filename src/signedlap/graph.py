@@ -166,9 +166,17 @@ def parse_edge_list(text: str) -> SignedDigraph:
 
 
 def laplacian(g: SignedDigraph) -> np.ndarray:
-    """Laplacian L = D - A; rows sum to zero by construction."""
+    """Laplacian L = D - A; rows sum to zero by construction.
+
+    A weighted out-degree that overflows float64 is a ``GraphFormatError`` naming its node.
+    """
     A = g.adjacency()
-    return np.diag(A.sum(axis=1)) - A
+    with np.errstate(over="ignore"):
+        degrees = A.sum(axis=1)
+    if not np.isfinite(degrees).all():
+        node = int(np.isfinite(degrees).argmin()) + 1
+        raise GraphFormatError(f"the weighted out-degree of node {node} overflows float64")
+    return np.diag(degrees) - A
 
 
 def matrix_scale(L: np.ndarray) -> float:

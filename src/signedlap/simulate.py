@@ -79,14 +79,16 @@ def simulate(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> Simula
     states[0] = x0
     diverged = False
     last = steps
+    advance = step.dot  # the dgemv of ``step @ x``, bit for bit, without matmul's dispatch
     # step a block of rows, then check them at once; the trace ends before
     # the first bad row, as a per-step check would end it
     for start in range(1, steps + 1, _BLOCK):
         stop = min(start + _BLOCK, steps + 1)
+        rows = list(states[start - 1:stop])  # views of one block, not the trace
         # rows past a bad one are stepped to the block's end and dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(start, stop):
-                np.matmul(step, states[k - 1], out=states[k])
+            for prev, cur in zip(rows, rows[1:]):
+                advance(prev, cur)
             block = states[start:stop]
             bad = ~np.isfinite(block).all(axis=1) | (np.abs(block).max(axis=1) > OVERFLOW_LIMIT)
         if bad.any():

@@ -201,6 +201,20 @@ def test_numerical_exit_code(capsys, monkeypatch):
     assert "synthetic" in err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array"),
+     "error: out of memory: Unable to allocate 74.5 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy-message", "no-message"])
+def test_out_of_memory_exit_code(capsys, monkeypatch, exc, message):
+    def exhaust(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "simulate", exhaust)
+    code, out, err = run(capsys, "simulate", "--graph", str(DATA / "triangle.txt"))
+    assert code == 4 and out == "" and err == message
+
+
 def test_sensitive_cli(capsys):
     code, out, _ = run(
         capsys, "sensitive", "--graph", str(DATA / "reach12.txt"), "--epsilon", "1e-4"
@@ -433,13 +447,16 @@ def test_resistance_directed_refuses_two_components_with_large_weights(tmp_path,
         assert code == 3 and out == ""
 
 
-def test_resistance_directed_non_finite_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [("analyze",), ("delta-star", "--pair", "1", "2"),
+                                  ("simulate",), ("resistance", "--pair", "1", "2")],
+                         ids=lambda argv: argv[0])
+def test_overflowing_degree_exit_code(tmp_path, capsys, argv):
     path = tmp_path / "huge.txt"  # node 1's degree overflows to inf
     path.write_text("3\n1 2 1.7e308\n2 3 1.7e308\n3 1 1.7e308\n1 3 1.7e308\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, "resistance", "--graph", str(path), "--pair", "1", "2")
-    assert code == 4 and out == ""
-    assert "non-finite" in err
+    # pytest turns a RuntimeWarning into an error, so this also checks that none is raised
+    code, out, err = run(capsys, argv[0], "--graph", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: the weighted out-degree of node 1 overflows float64\n"
 
 
 def test_resistance_matches_the_api_on_every_data_graph(capsys):

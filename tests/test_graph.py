@@ -81,6 +81,21 @@ def test_laplacian_edgeless():
     assert_allclose(laplacian(SignedDigraph(3, {})), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("edges, node", [
+    ({(1, 2): 1.7e308, (1, 3): 1.7e308}, 1),
+    ({(1, 2): 1.0, (3, 1): -1.7e308, (3, 2): -1.7e308}, 3),
+])
+def test_laplacian_refuses_an_overflowing_degree(edges, node):
+    # pytest turns a RuntimeWarning into an error, so this also checks that the sum warns nothing
+    with pytest.raises(GraphFormatError, match=f"out-degree of node {node} overflows float64"):
+        laplacian(SignedDigraph(3, edges))
+
+
+def test_laplacian_at_the_largest_finite_degree():
+    L = laplacian(SignedDigraph(2, {(1, 2): 1.7e308, (2, 1): -1.7e308}))
+    assert np.isfinite(L).all() and (L @ np.ones(2) == 0.0).all()
+
+
 def test_laplacian_rows_sum_to_zero():
     # the diagonal is recomputed from the weights, so row sums vanish to
     # within a few ulp of the row magnitude (bitwise zero is not attainable

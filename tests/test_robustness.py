@@ -257,6 +257,12 @@ def test_solve_lyapunov_scalar():
     assert_allclose(solve_lyapunov(np.array([[2.0]])), [[0.25]])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_lyapunov_refuses_a_non_finite_matrix(bad):
+    with pytest.raises(NumericsError, match="non-finite Lbar"):
+        solve_lyapunov(np.array([[2.0, bad], [0.0, 1.0]]))
+
+
 def test_solve_lyapunov_undirected_closed_form(triangle):
     lbar, _ = lbar_of(triangle)
     sigma = solve_lyapunov(lbar)

@@ -165,6 +165,31 @@ def test_simulate_divergence_matches_per_step_reference(n, bad_row, seed):
     assert_same_trace(simulate(L, x0, dt, 2500 * dt), ref)
 
 
+# the bench runs n = 8-40, where BLAS may block the product differently than at n <= 12
+@pytest.mark.parametrize("n", [16, 40])
+@pytest.mark.parametrize("steps", [1025, 2049])
+def test_simulate_matches_per_step_reference_at_bench_sizes(n, steps):
+    rng = np.random.default_rng(1000 * n + steps)
+    L = rng.normal(size=(n, n))
+    dt = 0.1 / matrix_scale(L)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    trace = simulate(L, x0, dt, steps * dt)
+    assert trace.states.shape == (steps + 1, n) and not trace.diverged
+    assert_same_trace(trace, reference_rk4(L, x0, dt, steps * dt))
+
+
+def test_simulate_divergence_matches_per_step_reference_at_a_bench_size():
+    n, dt = 40, 0.05
+    rng = np.random.default_rng(40)
+    L = -np.eye(n) + 0.01 * rng.normal(size=(n, n))  # growth that mixes the states
+    x0 = rng.uniform(-1.0, 1.0, n)
+    x0 *= OVERFLOW_LIMIT / np.exp(90.0) / np.abs(x0).max()
+    ref = reference_rk4(L, x0, dt, 2500 * dt)
+    # the first bad row, 1707, falls inside the second block (rows 1025-2048)
+    assert ref.diverged and ref.states.shape[0] == 1707
+    assert_same_trace(simulate(L, x0, dt, 2500 * dt), ref)
+
+
 def test_non_finite_state_diverges_at_the_first_step():
     x0 = np.array([np.nan, 1.0, -1.0])
     L = laplacian(SignedDigraph(3, {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}))

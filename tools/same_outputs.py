@@ -13,6 +13,9 @@ directory:
   ``--positive-only``), ``sensitive``, ``simulate`` (plain, and with a short
   horizon and ``--out``), and on every ordered pair ``delta-star`` with
   ``--sweep-out`` and ``resistance`` in both modes;
+* one ``simulate --out`` on a perturbed ``triangle.txt`` that diverges
+  inside a block, so the truncated last row and the ``# diverged`` trailer
+  are compared too; a side whose trace lacks the trailer stops the run;
 * the calls of the four benchmark workloads that ``bench/workloads.py``
   builds for each seed.
 
@@ -39,6 +42,9 @@ DATA = ROOT / "tests" / "data"
 BENCH = ROOT / "bench"
 WORKLOADS = ("delta-star", "sensitive", "simulate", "analyze")
 OUT_FLAGS = ("--out", "--sweep-out")
+#: the trace ends at row 4076, the first bad row being 4077, inside the block of rows 3073-4096
+DIVERGING = ["simulate", "--graph", "data/triangle.txt", "--pair", "1", "2", "--delta", "10",
+             "--dt", "0.005", "--horizon", "100", "--out", "diverged-trace.csv"]
 
 
 def _data_calls() -> list[list[str]]:
@@ -60,7 +66,7 @@ def _data_calls() -> list[list[str]]:
                        "--sweep-out", f"{stem}-sweep-{u}-{v}.csv"],
                       ["resistance", "--graph", graph, *pair],
                       ["resistance", "--graph", graph, *pair, "--mode", "undirected"]]
-    return calls
+    return calls + [DIVERGING]
 
 
 def _digest(text: str) -> str:
@@ -98,8 +104,10 @@ def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
         for flag, path in zip(argv, argv[1:]):
             if flag in OUT_FLAGS:
                 written = Path(path)
-                files.append(_digest(written.read_text(encoding="utf-8"))
-                             if written.exists() else None)
+                text = written.read_text(encoding="utf-8") if written.exists() else None
+                if argv == DIVERGING and not (text or "").endswith("\n# diverged\n"):
+                    raise RuntimeError(f"{' '.join(argv)} did not write a diverged trace")
+                files.append(None if text is None else _digest(text))
                 written.unlink(missing_ok=True)
         results.append((argv, (code, _digest(out.getvalue()), err.getvalue(), files)))
     return results
