@@ -2,7 +2,7 @@
 
 Subcommands: analyze, delta-star, sensitive, simulate, resistance.
 Exit codes: 0 success, 2 input/parse error, 3 premise violation,
-4 numerical failure or out of memory.
+4 numerical failure or out of memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PREMISE = 3
 EXIT_NUMERICAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
 
 
 def _load_graph(path: str) -> SignedDigraph:
@@ -209,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, OSError, UnicodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -180,10 +180,18 @@ def laplacian(g: SignedDigraph) -> np.ndarray:
 
 
 def matrix_scale(L: np.ndarray) -> float:
-    """Infinity norm (max absolute row sum), the scale used for zero thresholds."""
+    """Infinity norm (max absolute row sum), the scale used for zero thresholds.
+
+    A row sum that overflows float64 leaves no threshold: ``GraphFormatError`` naming the row.
+    """
     if L.size == 0:
         return 0.0
-    return float(np.abs(L).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        sums = np.abs(L).sum(axis=1)
+    if not np.isfinite(sums).all():
+        row = int(np.isfinite(sums).argmin()) + 1
+        raise GraphFormatError(f"the absolute sum of row {row} overflows float64")
+    return float(sums.max())
 
 
 def superpose(g1: SignedDigraph, g2: SignedDigraph) -> SignedDigraph:

@@ -42,11 +42,12 @@ def helmert_basis(n: int) -> np.ndarray:
 
 
 def reduced_laplacian(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Lbar = Q L Q^T."""
+    """Lbar = Q L Q^T; ``matrix_scale`` refuses an L whose absolute row sums overflow."""
     if L.shape[0] != L.shape[1]:
         raise ValueError(f"L must be square, got {L.shape}")
     if Q.shape != (L.shape[0] - 1, L.shape[0]):
         raise ValueError(f"Q shape {Q.shape} incompatible with L shape {L.shape}")
+    matrix_scale(L)  # else Lbar may be all roundoff: Q L Q^T is 0 for L = [[a, -a], [a, -a]]
     return Q @ L @ Q.T
 
 

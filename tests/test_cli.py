@@ -459,6 +459,33 @@ def test_overflowing_degree_exit_code(tmp_path, capsys, argv):
     assert err == "error: the weighted out-degree of node 1 overflows float64\n"
 
 
+@pytest.mark.parametrize("text", ["3\n1 2 1e308\n2 3 1e308\n3 1 1e308\n",
+                                  "3\n1 2 1.7e308\n1 3 -1.7e308\n2 3 1\n3 1 1\n",
+                                  "2\n1 2 1.7e308\n2 1 -1.7e308\n"],
+                         ids=["cycle", "cancelling-row", "nilpotent"])
+@pytest.mark.parametrize("argv", [("analyze",), ("delta-star", "--pair", "1", "2"),
+                                  ("simulate",), ("resistance", "--pair", "1", "2")],
+                         ids=lambda argv: argv[0])
+def test_overflowing_row_sum_exit_code(tmp_path, capsys, argv, text):
+    # each degree is finite (1e308, or 0 where the signed row cancels), but |d_1| + sum |a_1j|
+    # overflows, and every zero threshold scales with it: analyze counted three zeros, simulate
+    # refused a dt of 0 and resistance printed 0; on the nilpotent L it printed roundoff, 1.5e-291
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], "--graph", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: the absolute sum of row 1 overflows float64\n"
+
+
+def test_interrupt_exit_code(capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "simulate", interrupt)  # Ctrl-C in the middle of the subcommand
+    code, out, err = run(capsys, "simulate", "--graph", str(DATA / "triangle.txt"))
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
 def test_resistance_matches_the_api_on_every_data_graph(capsys):
     solvers = {"undirected": signedlap.effective_resistance_undirected,
                "directed": signedlap.effective_resistance_directed}

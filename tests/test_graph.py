@@ -10,6 +10,7 @@ from signedlap import (
     PremiseError,
     SignedDigraph,
     laplacian,
+    matrix_scale,
     parse_edge_list,
     superpose,
 )
@@ -94,6 +95,13 @@ def test_laplacian_refuses_an_overflowing_degree(edges, node):
 def test_laplacian_at_the_largest_finite_degree():
     L = laplacian(SignedDigraph(2, {(1, 2): 1.7e308, (2, 1): -1.7e308}))
     assert np.isfinite(L).all() and (L @ np.ones(2) == 0.0).all()
+
+
+def test_matrix_scale_refuses_an_overflowing_row_sum():
+    # finite entries, but |d_1| + |a_12| = 3.4e308: no threshold can scale with the norm
+    L = laplacian(SignedDigraph(2, {(1, 2): 1.7e308, (2, 1): -1.7e308}))
+    with pytest.raises(GraphFormatError, match="absolute sum of row 1 overflows float64"):
+        matrix_scale(L)
 
 
 def test_laplacian_rows_sum_to_zero():

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from signedlap import NullBasis, NumericsError, ReachDecomposition, nyquist_sweep, r_value
+from signedlap import NullBasis, NumericsError, ReachDecomposition, nyquist_sweep, r_value, report
 from signedlap.report import (
     delta_star_json,
     dumps,
@@ -110,6 +111,96 @@ def test_trace_csv_matches_per_value_format_across_chunks(rows, n, diverged):
     text = trace_csv(trace)
     assert text == reference_trace_csv(trace)
     assert len(text.splitlines()) == 1 + rows + diverged
+
+
+def assert_same_lines(text, want):
+    """``text == want``, naming the first differing lines rather than diffing megabytes."""
+    bad = [(a, b) for a, b in zip(text.splitlines(), want.splitlines()) if a != b][:5]
+    assert not bad and len(text) == len(want), bad
+
+
+def assert_prints_as_percent(values):
+    """Both CSVs print each value, and its negation, exactly as ``"%.15g" % x``."""
+    values = np.asarray(values, dtype=float)
+    trace = SimulationTrace(values, -values[:, None], dt=0.1)
+    assert_same_lines(trace_csv(trace), "t,x1\n" + "".join("%.15g,%.15g\n" % (x, -x)
+                                                          for x in values.tolist()))
+    z = np.empty(values.size, dtype=complex)  # filled part by part, as -x + 1j * x mixes in nans
+    z.real, z.imag = -values, values
+    assert_same_lines(sweep_csv(values, z), "omega,re,im\n" + "".join(
+        "%.15g,%.15g,%.15g\n" % (x, -x, x) for x in values.tolist()))
+
+
+def neighbours(values):
+    """The values and the two floats on either side of each."""
+    values = np.asarray(values, dtype=float)
+    up, down = np.nextafter(values, np.inf), np.nextafter(values, -np.inf)
+    return np.concatenate([values, up, down, np.nextafter(up, np.inf),
+                           np.nextafter(down, -np.inf)])
+
+
+def rounding_ties():
+    """15 digits and a 5 (exact ties where the float holds them), and their neighbours."""
+    rng = np.random.default_rng(5)
+    mantissas = rng.integers(10**14, 10**15, 60).tolist() + [10**14, 10**15 - 1]
+    return neighbours([float(f"{m}5e{k}") for m in mantissas for k in range(-35, 45)])
+
+
+def test_csv_prints_rounding_ties_as_percent():
+    assert_prints_as_percent(rounding_ties())
+
+
+def tie_distance(x):
+    """The exact distance of ``|x| * 10**(14 - X)`` from its nearest half-integer, X the exponent
+    that ``"%.14e" % x`` prints."""
+    num, den = abs(x).as_integer_ratio()
+    s = 14 - int(("%.14e" % x).partition("e")[2])
+    num, den = (num * 10**s, den) if s >= 0 else (num, den * 10**-s)
+    return Fraction(abs(2 * (num % den) - den), 2 * den)
+
+
+def test_csv_prints_values_next_to_a_rounding_tie_as_percent():
+    # the scaled mantissa of each is within the margin of a tie but not on it, so the kernel
+    # must not take its rounding from the long double product
+    rng = np.random.default_rng(8)
+    values = [float(f"{m}5e{k}") for m, k in zip(rng.integers(10**14, 10**15, 20_000).tolist(),
+                                                  rng.integers(-30, 30, 20_000).tolist())]
+    near = [x for x in values if 0 < tie_distance(x) < report._TIE_MARGIN]
+    assert len(near) >= 20
+    assert_prints_as_percent(near)
+
+
+def test_csv_prints_powers_of_ten_as_percent():
+    # next to a power of ten, log10 of the value can be one off
+    assert_prints_as_percent(neighbours([10.0**k for k in range(-323, 309)]))
+
+
+def test_csv_prints_values_that_round_into_the_next_decade_as_percent():
+    assert "%.15g" % 9.9999999999999995e-05 == "0.0001"  # exponential turns fixed
+    assert "%.15g" % 999999999999999.5 == "1e+15"  # fixed turns exponential
+    values = [float(f"9.99999999999999{d}e{k}") for d in range(4, 10) for k in range(-30, 30)]
+    assert_prints_as_percent(neighbours(values + [9.9999999999999995e-05, 999999999999999.5]))
+
+
+def test_csv_prints_three_digit_exponents_and_subnormals_as_percent():
+    rng = np.random.default_rng(6)
+    tiny = np.finfo(float).smallest_normal
+    values = np.concatenate([
+        rng.uniform(1, 10, 300) * 10.0 ** rng.integers(-308, -99, 300),
+        rng.uniform(1, 10, 300) * 10.0 ** rng.integers(100, 308, 300),
+        5e-324 * rng.integers(1, 2**52, 300).astype(float),  # subnormals
+        neighbours([5e-324, tiny]), [np.finfo(float).max, np.nextafter(np.finfo(float).max, 0)]])
+    assert_prints_as_percent(values)
+
+
+def test_csv_prints_the_same_bytes_when_every_value_takes_the_fallback(monkeypatch):
+    # a margin so wide that no scaled value is trusted: every value takes ``"%.14e" % x``, as
+    # nearly half of them do where long double is a plain double
+    rng = np.random.default_rng(7)
+    values = np.concatenate([rounding_ties()[:500], rng.standard_normal(500),
+                             [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1e-5]])
+    monkeypatch.setattr(report, "_TIE_MARGIN", 0.5)
+    assert_prints_as_percent(values)
 
 
 def test_trace_csv_holds_about_two_copies_of_its_text():

@@ -21,7 +21,10 @@ directory:
 
 For each call it compares the exit code, stdout, stderr and every file
 written through ``--out`` or ``--sweep-out``, prints the counts and each
-differing call, and exits 1 on any difference.
+differing call, and exits 1 on any difference.  Next to the call counts it
+prints how many CSV files both sides wrote and how many numbers (rows times
+columns) those files hold, so a claim that the CSV bytes did not change
+states its coverage.
 """
 
 from __future__ import annotations
@@ -73,12 +76,19 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _csv_numbers(text: str) -> int:
+    """Rows times columns of a CSV text: a header, then number rows, then ``#`` lines."""
+    columns = text.split("\n", 1)[0].count(",") + 1
+    return (text.count("\n") - 1 - text.count("\n#")) * columns
+
+
 def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
-    """Make every call with the package under ``src``; one (argv, outcome) per call.
+    """Make every call with the package under ``src``; one (argv, outcome, numbers) per call.
 
     The outcome holds the exit code (or the exception that escaped
     ``cli.main``), the digest of stdout, stderr in full, and the digest of
-    each output file, or None for a file the call did not write.
+    each output file, or None for a file the call did not write.  Numbers
+    holds the count of CSV numbers in each output file (None for JSON).
     """
     sys.path[:0] = [src, str(BENCH)]
     import signedlap.cli as cli
@@ -100,7 +110,7 @@ def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
             code = exc.code
         except Exception as exc:  # a crash is an outcome to compare, not the end of the run
             code = f"raised {exc!r}"
-        files = []
+        files, numbers = [], []
         for flag, path in zip(argv, argv[1:]):
             if flag in OUT_FLAGS:
                 written = Path(path)
@@ -108,8 +118,9 @@ def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
                 if argv == DIVERGING and not (text or "").endswith("\n# diverged\n"):
                     raise RuntimeError(f"{' '.join(argv)} did not write a diverged trace")
                 files.append(None if text is None else _digest(text))
+                numbers.append(_csv_numbers(text) if text and path.endswith(".csv") else None)
                 written.unlink(missing_ok=True)
-        results.append((argv, (code, _digest(out.getvalue()), err.getvalue(), files)))
+        results.append((argv, (code, _digest(out.getvalue()), err.getvalue(), files), numbers))
     return results
 
 
@@ -136,13 +147,13 @@ def main() -> int:
             run_side, [(str(Path(src).resolve()), args.seeds, workdir) for src, workdir in sides],
             chunksize=1)
 
-    if [argv for argv, _ in parent] != [argv for argv, _ in change]:
+    if [argv for argv, *_ in parent] != [argv for argv, *_ in change]:
         print("error: the two sides made different calls", file=sys.stderr)
         return 1
     fields = ("exit code", "stdout", "stderr", "output files")
     differ = {field: 0 for field in fields}
-    bad = 0
-    for (argv, a), (_, b) in zip(parent, change):
+    bad = csv_files = csv_numbers = 0
+    for (argv, a, numbers), (_, b, _) in zip(parent, change):
         diff = [field for field, x, y in zip(fields, a, b) if x != y]
         for field in diff:
             differ[field] += 1
@@ -151,9 +162,14 @@ def main() -> int:
             print(f"differ in {', '.join(diff)}: {' '.join(argv)}")
             if "stderr" in diff:
                 print(f"  parent stderr: {a[2].strip()}\n  change stderr: {b[2].strip()}")
-    nonzero = sum(code != 0 for _, (code, *_rest) in change)
+        for count, x, y in zip(numbers, a[3], b[3]):  # CSV files that both sides wrote
+            if count is not None and None not in (x, y):
+                csv_files, csv_numbers = csv_files + 1, csv_numbers + count
+    nonzero = sum(code != 0 for _, (code, *_rest), _ in change)
     print(f"{len(change)} calls ({nonzero} with a nonzero exit code on the change), "
           f"{bad} differ: " + ", ".join(f"{field} {k}" for field, k in differ.items()))
+    print(f"{csv_files} CSV files written by both sides compared byte for byte, "
+          f"{csv_numbers} CSV numbers (rows times columns) in them")
     return 1 if bad else 0
 
 
