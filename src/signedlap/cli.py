@@ -76,9 +76,9 @@ def _cmd_delta_star(args: argparse.Namespace) -> int:
     pert = EdgePerturbation(u=u, v=v, q_uv=args.gains[0], q_vu=args.gains[1])
     result = delta_star(g, pert)
     if args.sweep_out is not None:
-        Q = helmert_basis(g.n)
-        lbar1 = reduced_laplacian(laplacian(g), Q)
-        omegas, values = nyquist_sweep(lbar1, Q, u, v, pert.q_uv, pert.q_vu)
+        Q, L1 = helmert_basis(g.n), laplacian(g)
+        omegas, values = nyquist_sweep(reduced_laplacian(L1, Q), Q, u, v, pert.q_uv, pert.q_vu,
+                                       matrix_scale(L1))
         Path(args.sweep_out).write_text(report.sweep_csv(omegas, values), encoding="utf-8")
     _emit(report.dumps(report.delta_star_json(result)), args.out)
     return EXIT_OK

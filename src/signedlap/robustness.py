@@ -31,21 +31,28 @@ from .spectral import (block_spectrum, helmert_basis, reduced_laplacian, spectru
 
 logger = logging.getLogger(__name__)
 
-#: real-axis crossings need Re G above this to yield a finite positive delta
+#: a crossing's Re G at most this over ||L1||_inf is 0: 1 / Re G would put delta* past
+#: 1e12 ||L1||_inf, where the perturbed Laplacian holds L1 to eps * 1e12 = 2.2e-4 at best
 CROSSING_RE_TOL = 1e-12
 #: |Im s| / |s| under which a zero s counts as real: a double real zero (a tangency)
 #: splits under rounding by about sqrt(eps) |s|, and admitting it only lowers delta*
 REAL_ZERO_RTOL = 1e-6
-#: relative slack when collecting the crossings that attain the maximum
+#: crossings whose Re G is within this of the largest attain it, omega* the least of them:
+#: each Re G errs by about eps cond(Lbar1 - j w I), a condition allowed up to 1e6 as in ZERO_TOL
 ACHIEVER_RTOL = 1e-9
-#: largest relative difference |w_ij - w_ji| / w_ij of an undirected graph's two directions
+#: largest relative difference |w_ij - w_ji| / w_ij of an undirected graph's two directions:
+#: a weight written to 12 or more significant digits reads back within 5e-13 of its value
 SYMMETRY_RTOL = 1e-12
-#: crossings at w up to 1e-8 * max(scale, 1) are the w = 0 crossing itself
+#: a crossing at w <= this times sigma (``_crossing_frequencies``) is the w = 0 one: the
+#: zeros s of the normalized pencil err by about eps = 2.2e-16, this factor squared
 OMEGA_ZERO_FACTOR = 1e-8
-#: a Schur pivot under this times ||Lbar||, a few hundred times the Schur form's backward
-#: error, is roundoff of a zero: a sweep sample with |T_ii - j w| under it sits on an
-#: eigenvalue and is skipped, and a Lyapunov sum lambda_i + conj(lambda_j) under it is 0
+#: a Schur pivot at most this times ||L||_inf, some 500 times the Schur form's backward
+#: error eps ||Q L Q^T||, is roundoff of a zero: a sweep sample with |T_ii - j w| that small
+#: sits on an eigenvalue and is skipped, and a Lyapunov sum lambda_i + conj(lambda_j) is 0
 SCHUR_PIVOT_RTOL = 1e-13
+#: Lyapunov residual allowed, times ||L||_inf max|Sigma|: Bartels-Stewart leaves about
+#: m eps ||Lbar|| ||Sigma||, m the order (Higham 2002, ch. 16), some 1e4 times less
+LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: sweep frequencies back-substituted together, bounding the workspace
 SWEEP_CHUNK = 256
 #: the sweep samples w = 0 and this many log-spaced frequencies between
@@ -76,10 +83,8 @@ def _input_vectors(Q: np.ndarray, u: int, v: int,
         raise ValueError(f"pair ({u}, {v}) out of range 1..{n}")
     if u == v:
         raise ValueError("pair endpoints must differ")
-    eu = np.zeros(n)
-    ev = np.zeros(n)
-    eu[u - 1] = 1.0
-    ev[v - 1] = 1.0
+    eu, ev = np.zeros((2, n))
+    eu[u - 1] = ev[v - 1] = 1.0
     return Q @ (q_uv * eu - q_vu * ev), Q @ (eu - ev)
 
 
@@ -91,11 +96,10 @@ def r_value(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     returned with zero imaginary part.
     """
     b, c = _input_vectors(Q, u, v, q_uv, q_vu)
-    m = lbar1.shape[0]
     try:
         if omega == 0.0:
             return complex(c @ np.linalg.solve(lbar1, b))
-        x = np.linalg.solve(lbar1 - 1j * omega * np.eye(m), b)
+        x = np.linalg.solve(lbar1 - 1j * omega * np.eye(lbar1.shape[0]), b)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"system singular at omega={omega}") from exc
     return complex(c @ x)
@@ -103,31 +107,29 @@ def r_value(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
 
 def _sweep_omegas(radius: float) -> np.ndarray:
     """w = 0, then ``SWEEP_POINTS`` log-spaced frequencies from SWEEP_LO to SWEEP_HI x radius."""
-    radius = max(radius, 1e-30)
     return np.concatenate([[0.0], np.logspace(math.log10(SWEEP_LO * radius),
                                               math.log10(SWEEP_HI * radius), SWEEP_POINTS)])
 
 
 def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
-                  q_uv: float, q_vu: float) -> tuple[np.ndarray, np.ndarray]:
+                  q_uv: float, q_vu: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """G(j w) over ``_sweep_omegas`` as arrays (w, G), ending with the w -> inf limit 0.
 
-    Back-substitutes ``T - j w I`` of one complex Schur form ``Z T Z^H`` of
-    Lbar1 for a chunk of frequencies at once (Laub 1981); the grid scales with
-    the spectral radius max |T_ii|, and samples on an eigenvalue are skipped
-    with a warning.
+    Back-substitutes ``T - j w I`` of one complex Schur form ``Z T Z^H`` of Lbar1 for a
+    chunk of frequencies at once (Laub 1981); the grid scales with the spectral radius
+    max |T_ii| > 0, and samples within ``SCHUR_PIVOT_RTOL * scale`` of an eigenvalue,
+    ``scale`` = ||L1||_inf, are skipped with a warning.
     """
     b, c = _input_vectors(Q, u, v, q_uv, q_vu)
     T, Z = scipy.linalg.schur(lbar1, output="complex")
     omegas = _sweep_omegas(float(np.abs(np.diag(T)).max()))
     bt, ct = Z.conj().T @ b, Z.T @ c
-    tol = SCHUR_PIVOT_RTOL * max(matrix_scale(lbar1), 1.0)
-    kept: list[np.ndarray] = []
-    parts: list[np.ndarray] = []
+    tol = SCHUR_PIVOT_RTOL * scale
+    kept, parts = [], []  # per chunk: the frequencies not skipped, and G there
     for start in range(0, omegas.size, SWEEP_CHUNK):
         chunk = omegas[start:start + SWEEP_CHUNK]
         shifted = np.diag(T)[:, None] - 1j * chunk
-        singular = (np.abs(shifted) < tol).any(axis=0)
+        singular = (np.abs(shifted) <= tol).any(axis=0)
         for omega in chunk[singular]:
             logger.warning("skipping singular sample at omega=%g", omega)
         shifted = shifted[:, ~singular]
@@ -143,18 +145,19 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
 
 
 def _crossing_frequencies(lbar1: np.ndarray, b: np.ndarray, c: np.ndarray,
-                          omega_zero: float) -> np.ndarray:
-    """Ascending w > omega_zero with Im G(j w) = w c^T (A^2 + w^2 I)^(-1) b = 0, A = Lbar1.
+                          scale: float) -> np.ndarray:
+    """Ascending w > 0 with Im G(j w) = w c^T (Lbar1^2 + w^2 I)^(-1) b = 0.
 
-    These are sqrt(s) for the real zeros s > 0 of ``(-A^2, b, c^T)``, found by
-    one QZ call on its pencil ``[[-A^2, b], [c^T, 0]] - s diag(I, 0)``
-    (Emami-Naeini & Van Dooren 1982).  It is regular as ``c^T b = q_uv + q_vu
-    > 0``; no pole cancels a zero s > 0 as A has no imaginary-axis eigenvalue.
-    Zeros up to ``omega_zero^2`` are the w = 0 crossing itself.
+    These are sigma sqrt(s) for the real zeros s > OMEGA_ZERO_FACTOR**2 of ``(-A^2, b, c^T)``,
+    A = Lbar1 / sigma, sigma the power of two just above ``scale`` = ||L1||_inf: one QZ call on
+    the pencil ``[[-A^2, b], [c^T, 0]] - s diag(I, 0)`` (Emami-Naeini & Van Dooren 1982), the
+    same at every weight scale, with -A^2 at the magnitude of b and c.  It is regular as
+    ``c^T b = q_uv + q_vu > 0``; no pole cancels a zero s > 0 (A has no imaginary eigenvalue).
     """
-    m = lbar1.shape[0]
+    sigma = math.ldexp(1.0, math.frexp(scale)[1])
+    A, m = lbar1 / sigma, lbar1.shape[0]
     pencil = np.zeros((m + 1, m + 1))
-    pencil[:m, :m] = -lbar1 @ lbar1
+    pencil[:m, :m] = -A @ A
     pencil[:m, m] = b
     pencil[m, :m] = c
     mass = np.diag(np.append(np.ones(m), 0.0))
@@ -166,7 +169,7 @@ def _crossing_frequencies(lbar1: np.ndarray, b: np.ndarray, c: np.ndarray,
     finite = np.abs(alpha) <= 2.0 * bound * np.abs(beta)
     zeros = alpha[finite] / beta[finite]
     real = np.abs(zeros.imag) <= REAL_ZERO_RTOL * np.abs(zeros)
-    return np.sort(np.sqrt(zeros.real[real & (zeros.real > omega_zero**2)]))
+    return sigma * np.sort(np.sqrt(zeros.real[real & (zeros.real > OMEGA_ZERO_FACTOR**2)]))
 
 
 def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
@@ -179,25 +182,20 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     grows, so the condition fails at some finite delta_c, where
     ``G(j w) = 1 / delta_c``.  Finding none raises ``NumericsError``.
     """
-    Q = helmert_basis(g1.n)
+    Q, L1 = helmert_basis(g1.n), laplacian(g1)
     u, v, q_uv, q_vu = pert.u, pert.v, pert.q_uv, pert.q_vu
     b, c = _input_vectors(Q, u, v, q_uv, q_vu)
-    L1 = laplacian(g1)
-    values = block_spectrum(L1, condensation(g1))
-    if not spectrum_condition(values, matrix_scale(L1)):
-        raise PremiseError(
-            "base Laplacian must have one zero eigenvalue and all other "
-            "eigenvalues with positive real part"
-        )
-    # Lbar1 has the spectrum of L1 less one zero, so the same magnitude
-    omega_zero = OMEGA_ZERO_FACTOR * max(float(np.abs(values).max()), 1.0)
+    scale = matrix_scale(L1)
+    if not spectrum_condition(block_spectrum(L1, condensation(g1)), scale):
+        raise PremiseError("base Laplacian must have one zero eigenvalue and all other "
+                           "eigenvalues with positive real part")
     lbar1 = reduced_laplacian(L1, Q)
 
     crossings = [(omega, r_value(lbar1, Q, u, v, q_uv, q_vu, omega).real)
-                 for omega in (0.0, *_crossing_frequencies(lbar1, b, c, omega_zero).tolist())]
-    g0 = crossings[0][1]
-    necessary = 1.0 / g0 if g0 > CROSSING_RE_TOL else math.inf
-    positive = [(w, re) for w, re in crossings if re > CROSSING_RE_TOL]
+                 for omega in (0.0, *_crossing_frequencies(lbar1, b, c, scale).tolist())]
+    re_tol, g0 = CROSSING_RE_TOL / scale, crossings[0][1]
+    necessary = 1.0 / g0 if g0 > re_tol else math.inf
+    positive = [(w, re) for w, re in crossings if re > re_tol]
     if not positive:
         raise NumericsError(
             f"no real-axis crossing with positive real part among {len(crossings)}; "
@@ -248,21 +246,21 @@ def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
     return np.diag(T) + 1j * (np.append(w, 0.0) - np.append(0.0, w))
 
 
-def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
+def solve_lyapunov(lbar: np.ndarray, scale: float) -> np.ndarray:
     """Solve Lbar S + S Lbar^T = I by the dense Schur (Bartels-Stewart) method.
 
     One real Schur form ``Z T Z^T`` of Lbar gives the eigenvalues and feeds LAPACK ``trsyl``
-    as scipy's ``solve_continuous_lyapunov`` does.  Solvable iff no two eigenvalues sum to 0.
+    as scipy's ``solve_continuous_lyapunov`` does.  Solvable iff no two eigenvalues sum to 0,
+    judged at ``scale``, ||L||_inf of the L that ``Lbar = Q L Q^T`` reduces.
     """
     if not np.isfinite(lbar).all():
         raise NumericsError("Lyapunov equation with a non-finite Lbar")
     T, Z = scipy.linalg.schur(lbar, output="real")
     values = _schur_eigenvalues(T)
-    scale = max(matrix_scale(lbar), 1.0)
     # each sum lambda_i + conj(lambda_j) at the scale of its two terms, or of a zero's roundoff
     sums = np.abs(values[:, None] + values[None, :].conj())
     terms = np.abs(values)[:, None] + np.abs(values)[None, :]
-    if (sums < np.maximum(zero_threshold(terms), SCHUR_PIVOT_RTOL * scale)).any():
+    if (sums <= np.maximum(zero_threshold(terms), SCHUR_PIVOT_RTOL * scale)).any():
         raise PremiseError("Lyapunov equation unsolvable: eigenvalues sum to zero")
     eye = np.eye(lbar.shape[0])
     y, s, info = scipy.linalg.lapack.dtrsyl(T, T, Z.T.dot(eye.dot(Z)), tranb="T")
@@ -270,16 +268,14 @@ def solve_lyapunov(lbar: np.ndarray) -> np.ndarray:
         raise NumericsError(f"Lyapunov Schur solve failed (trsyl info {info})")
     sigma = Z.dot(y * s).dot(Z.T)
     residual = np.abs(lbar @ sigma + sigma @ lbar.T - eye).max()
-    if residual > 1e-8 * scale:
+    if not residual <= LYAPUNOV_RESIDUAL_RTOL * scale * np.abs(sigma).max():
         raise NumericsError(f"Lyapunov residual too large: {residual:.3e}")
     return sigma
 
 
 def effective_resistance_directed(g: SignedDigraph, u: int, v: int) -> EffectiveResistance:
     """2 (e_u - e_v)^T Q^T Sigma Q (e_u - e_v) with Sigma the Lyapunov solution."""
-    L = laplacian(g)
-    Q = helmert_basis(g.n)
-    lbar = reduced_laplacian(L, Q)
-    sigma = solve_lyapunov(lbar)
+    L, Q = laplacian(g), helmert_basis(g.n)
+    sigma = solve_lyapunov(reduced_laplacian(L, Q), matrix_scale(L))
     _, c = _input_vectors(Q, u, v, 1.0, 1.0)
     return EffectiveResistance(value=float(2.0 * c @ sigma @ c), method=EffectiveResistance.DIRECTED)

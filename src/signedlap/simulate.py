@@ -17,6 +17,9 @@ OVERFLOW_LIMIT = 1e150
 #: largest trace (state array plus time axis) a simulation may allocate, in bytes
 MAX_TRACE_BYTES = 2**30
 
+#: default step over 1 / ||L||_inf: |dt lambda| <= 0.01, ten times inside the guard of ``simulate``
+DT_FACTOR = 0.01
+
 #: rows stepped between divergence checks, and CSV rows ``report`` converts to text at once
 _BLOCK = 1024
 
@@ -30,11 +33,13 @@ class SimulationTrace:
 
 
 def default_dt(L: np.ndarray) -> float:
-    return 0.01 / max(1.0, matrix_scale(L))
+    """``DT_FACTOR / ||L||_inf``; an L of norm 0 has no time scale and steps DT_FACTOR."""
+    return DT_FACTOR / (matrix_scale(L) or 1.0)
 
 
 def default_horizon(L: np.ndarray, cond: Condensation) -> float:
-    """50 time constants of the slowest stable mode, else 100; ``cond`` as in ``block_spectrum``."""
+    """50 time constants of the slowest stable mode, else 100, an absolute time that is not
+    scale-free; ``cond`` as in ``block_spectrum``."""
     values = block_spectrum(L, cond)
     positive = values.real[values.real > zero_threshold(matrix_scale(L))]
     if positive.size:

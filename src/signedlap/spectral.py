@@ -16,14 +16,15 @@ from .errors import NumericsError, PremiseError
 from .graph import matrix_scale
 from .reach import Condensation, ReachDecomposition, _membership
 
-#: relative threshold under which an eigenvalue counts as zero
+#: an eigenvalue at most this times ||L||_inf counts as zero: an SCC block's eigenvalues err
+#: by about eps ||L|| (eps = 2.2e-16) times their condition number, here allowed up to 1e6
 ZERO_TOL = 1e-9
 
 
 def zero_threshold(scale: float | np.ndarray) -> float | np.ndarray:
-    """``ZERO_TOL * max(scale, 1)``, elementwise for an array of scales: the magnitude
-    under which a value counts as zero next to a matrix of infinity norm ``scale``."""
-    return ZERO_TOL * np.maximum(scale, 1.0)
+    """``ZERO_TOL * scale``, elementwise for an array of scales: a value at most this
+    counts as zero next to a matrix of infinity norm ``scale`` (exactly 0 at scale 0)."""
+    return ZERO_TOL * scale
 
 
 def helmert_basis(n: int) -> np.ndarray:
@@ -33,12 +34,10 @@ def helmert_basis(n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"projection basis needs n >= 2, got {n}")
-    Q = np.zeros((n - 1, n))
-    for i in range(1, n):
-        Q[i - 1, :i] = 1.0
-        Q[i - 1, i] = -float(i)
-        Q[i - 1] /= np.sqrt(i * (i + 1))
-    return Q
+    i = np.arange(1, n)
+    Q = np.tri(n - 1, n)
+    Q[i - 1, i] = -i
+    return Q / np.sqrt(i * (i + 1))[:, None]
 
 
 def reduced_laplacian(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -84,13 +83,13 @@ def block_spectrum(L: np.ndarray, cond: Condensation) -> np.ndarray:
 
 def zero_multiplicity(values: np.ndarray, scale: float) -> int:
     """Number of eigenvalues within ``zero_threshold(scale)`` of zero."""
-    return int(np.sum(np.abs(values) < zero_threshold(scale)))
+    return int(np.sum(np.abs(values) <= zero_threshold(scale)))
 
 
 def spectrum_condition(values: np.ndarray, scale: float) -> bool:
     """One eigenvalue within ``zero_threshold(scale)`` of zero, the rest with Re above that."""
     thr = zero_threshold(scale)
-    near_zero = np.abs(values) < thr
+    near_zero = np.abs(values) <= thr
     return int(near_zero.sum()) == 1 and bool(np.all(near_zero | (values.real > thr)))
 
 

@@ -1,7 +1,7 @@
 """Test-only constructions and checks: alternative bases, block permutations, matchings,
 the paper's first-order Theta matrix and one-pair classes, one-node reachable sets, and
-the per-step simulation, per-value CSVs, per-object JSON and per-reach dense null basis
-that the fast paths must reproduce."""
+the per-step simulation, per-value CSVs, per-object JSON, per-reach dense null basis and
+row-by-row Helmert basis that the fast paths must reproduce."""
 
 from __future__ import annotations
 
@@ -144,6 +144,16 @@ def split_signs(g: SignedDigraph) -> tuple[SignedDigraph, SignedDigraph]:
     pos = {k: w for k, w in g.edges.items() if w > 0}
     neg = {k: w for k, w in g.edges.items() if w < 0}
     return SignedDigraph(g.n, pos), SignedDigraph(g.n, neg)
+
+
+def reference_helmert_basis(n: int) -> np.ndarray:
+    """``helmert_basis`` one row at a time: row i holds i ones, then -i, over sqrt(i (i+1))."""
+    Q = np.zeros((n - 1, n))
+    for i in range(1, n):
+        Q[i - 1, :i] = 1.0
+        Q[i - 1, i] = -float(i)
+        Q[i - 1] /= np.sqrt(i * (i + 1))
+    return Q
 
 
 def householder_basis(n: int) -> np.ndarray:

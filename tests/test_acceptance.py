@@ -227,8 +227,9 @@ def test_criterion_5_property_suites():
         for _ in range(10):
             g = random_undirected_connected(rng, int(rng.integers(3, 9)))
             Q = helmert_basis(g.n)
-            lbar = reduced_laplacian(laplacian(g), Q)
-            sigma = solve_lyapunov(lbar)
+            L = laplacian(g)
+            lbar = reduced_laplacian(L, Q)
+            sigma = solve_lyapunov(lbar, matrix_scale(L))
             m = g.n - 1
             assert np.abs(lbar @ sigma + sigma @ lbar.T - np.eye(m)).max() < 1e-8
             assert_allclose(sigma, 0.5 * np.linalg.inv(lbar), atol=1e-8)

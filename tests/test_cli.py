@@ -589,9 +589,7 @@ def test_delta_star_wide_weights_match_the_bisection_oracle(capsys, tmp_path):
     assert payload["regime"] == "SufficientOnly"
 
 
-@pytest.mark.parametrize("weight", ["1", pytest.param("1e-10", marks=pytest.mark.xfail(
-    strict=True, reason="zero_threshold floors the scale at 1, so the whole spectrum of the "
-    "cycle, of modulus about 1.7e-10, counts as zero (ROADMAP item 2)"))])
+@pytest.mark.parametrize("weight", ["1", "1e-10"])
 def test_uniformly_scaled_cycle_keeps_its_spectrum_condition(capsys, tmp_path, weight):
     # the spectrum scales with the weights: one zero and two eigenvalues 1.5 w +- 0.87 w j
     path = tmp_path / "cycle.txt"

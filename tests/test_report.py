@@ -289,7 +289,7 @@ def test_nyquist_sweep_skips_singular_points(caplog):
     Q = np.array([[1 / np.sqrt(2), -1 / np.sqrt(2), 0.0],
                   [1 / np.sqrt(6), 1 / np.sqrt(6), -2 / np.sqrt(6)]])
     with caplog.at_level("WARNING"):
-        omegas, values = nyquist_sweep(singular, Q, 1, 2, 1.0, 0.0)
+        omegas, values = nyquist_sweep(singular, Q, 1, 2, 1.0, 0.0, 1.0)
     assert len(omegas) == len(values) == 2001  # w = 0 dropped from 2001 samples, asymptote appended
     assert 0.0 not in omegas and omegas[-1] == math.inf
     assert "singular" in caplog.text

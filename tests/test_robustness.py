@@ -17,6 +17,7 @@ from signedlap import (
     effective_resistance_undirected,
     helmert_basis,
     laplacian,
+    matrix_scale,
     nyquist_sweep,
     r_value,
     reduced_laplacian,
@@ -81,7 +82,7 @@ def test_r_value_rejects_equal_nodes():
 
 def test_nyquist_sweep_ends_with_asymptote(spoked8):
     lbar, Q = lbar_of(spoked8)
-    omegas, values = nyquist_sweep(lbar, Q, 3, 8, 1.0, 0.0)
+    omegas, values = nyquist_sweep(lbar, Q, 3, 8, 1.0, 0.0, matrix_scale(laplacian(spoked8)))
     assert math.isinf(omegas[-1])
     assert values[-1] == 0
     assert omegas[0] == 0.0
@@ -254,18 +255,19 @@ def test_effective_resistance_undirected_rejects():
 
 
 def test_solve_lyapunov_scalar():
-    assert_allclose(solve_lyapunov(np.array([[2.0]])), [[0.25]])
+    # [[2.0]] reduces the Laplacian [[1, -1], [-1, 1]] of infinity norm 2
+    assert_allclose(solve_lyapunov(np.array([[2.0]]), 2.0), [[0.25]])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_solve_lyapunov_refuses_a_non_finite_matrix(bad):
     with pytest.raises(NumericsError, match="non-finite Lbar"):
-        solve_lyapunov(np.array([[2.0, bad], [0.0, 1.0]]))
+        solve_lyapunov(np.array([[2.0, bad], [0.0, 1.0]]), 2.0)
 
 
 def test_solve_lyapunov_undirected_closed_form(triangle):
     lbar, _ = lbar_of(triangle)
-    sigma = solve_lyapunov(lbar)
+    sigma = solve_lyapunov(lbar, matrix_scale(laplacian(triangle)))
     assert_allclose(sigma, 0.5 * np.linalg.inv(lbar), atol=1e-8)
     assert np.abs(sigma - sigma.T).max() < 1e-10
 
@@ -275,7 +277,7 @@ def test_solve_lyapunov_random_residual():
     for _ in range(8):
         g = random_premise_graph(rng, 7)
         lbar, _ = lbar_of(g)
-        sigma = solve_lyapunov(lbar)
+        sigma = solve_lyapunov(lbar, matrix_scale(laplacian(g)))
         recon = lbar @ sigma + sigma @ lbar.T - np.eye(6)
         assert np.abs(recon).max() < 1e-8
         assert np.abs(sigma - sigma.T).max() < 1e-10
@@ -288,10 +290,10 @@ def test_solve_lyapunov_is_scipys_solve_from_one_schur_form(seed, m):
     # a random matrix shifted into the open right half plane keeps its complex pairs
     lbar = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-2, 2)
     lbar += (rng.uniform(0.1, 1.0) - eigenvalues(lbar).real.min()) * np.eye(m)
-    assert np.array_equal(solve_lyapunov(lbar),
+    scale = max(np.abs(lbar).sum(axis=1).max(), 1.0)
+    assert np.array_equal(solve_lyapunov(lbar, scale),
                           scipy.linalg.solve_continuous_lyapunov(lbar, np.eye(m)))
     T = scipy.linalg.schur(lbar, output="real")[0]
-    scale = max(np.abs(lbar).sum(axis=1).max(), 1.0)
     assert match_predictions(robustness._schur_eigenvalues(T), eigenvalues(lbar)) <= 1e-10 * scale
 
 
@@ -303,7 +305,7 @@ def test_schur_eigenvalues_read_the_two_by_two_blocks():
 
 def test_solve_lyapunov_unsolvable():
     with pytest.raises(PremiseError):
-        solve_lyapunov(np.diag([1.0, -1.0]))
+        solve_lyapunov(np.diag([1.0, -1.0]), 1.0)
 
 
 def test_effective_resistance_directed(triangle):
@@ -466,7 +468,8 @@ def test_delta_star_metamorphic(case, alpha, random):
 def test_nyquist_sweep_matches_r_value(case):
     g, pert = case
     lbar, Q = lbar_of(g)
-    omegas, values = nyquist_sweep(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu)
+    omegas, values = nyquist_sweep(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu,
+                                   matrix_scale(laplacian(g)))
     radius = np.abs(np.diag(scipy.linalg.schur(lbar, output="complex")[0])).max()
     assert omegas[:-1].tolist() == list(_sweep_omegas(radius))
     assert values[0].imag == 0.0

@@ -21,7 +21,8 @@ from signedlap import (
 )
 
 from conftest import random_multi_reach_graph, random_premise_graph, random_signed_digraph
-from helpers import eigenvalues, householder_basis, match_predictions, reference_null_basis
+from helpers import (eigenvalues, householder_basis, match_predictions, reference_helmert_basis,
+                     reference_null_basis)
 
 
 def multiset_close(a, b, tol):
@@ -40,6 +41,11 @@ def test_helmert_small_cases():
     )
     with pytest.raises(ValueError):
         helmert_basis(1)
+
+
+def test_helmert_basis_is_the_row_by_row_construction_bit_for_bit():
+    for n in range(2, 301):
+        assert np.array_equal(helmert_basis(n), reference_helmert_basis(n)), n
 
 
 @pytest.mark.parametrize("builder", [helmert_basis, householder_basis])

@@ -24,7 +24,10 @@ written through ``--out`` or ``--sweep-out``, prints the counts and each
 differing call, and exits 1 on any difference.  Next to the call counts it
 prints how many CSV files both sides wrote and how many numbers (rows times
 columns) those files hold, so a claim that the CSV bytes did not change
-states its coverage.
+states its coverage.  Where both sides print JSON and stdout differs, it
+prints the largest relative difference over the float leaves and names
+every other leaf that differs (a label, a boolean, a count, a list
+length), per call and, at the end, per leaf over all calls.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import multiprocessing
 import os
 import sys
@@ -86,7 +90,7 @@ def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
     """Make every call with the package under ``src``; one (argv, outcome, numbers) per call.
 
     The outcome holds the exit code (or the exception that escaped
-    ``cli.main``), the digest of stdout, stderr in full, and the digest of
+    ``cli.main``), stdout and stderr in full, and the digest of
     each output file, or None for a file the call did not write.  Numbers
     holds the count of CSV numbers in each output file (None for JSON).
     """
@@ -120,8 +124,39 @@ def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
                 files.append(None if text is None else _digest(text))
                 numbers.append(_csv_numbers(text) if text and path.endswith(".csv") else None)
                 written.unlink(missing_ok=True)
-        results.append((argv, (code, _digest(out.getvalue()), err.getvalue(), files), numbers))
+        results.append((argv, (code, out.getvalue(), err.getvalue(), files), numbers))
     return results
+
+
+def _leaves(tree, path: str = ""):
+    """(path, value) of each leaf or empty container of a JSON tree, its keys and list
+    indices joined by ``/``."""
+    if isinstance(tree, (dict, list)) and tree:
+        for key, sub in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from _leaves(sub, f"{path}/{key}")
+    else:
+        yield path, tree
+
+
+def _json_diff(a: str, b: str) -> tuple[dict[str, float], set[str]] | None:
+    """Two JSON texts compared leaf by leaf: the largest relative difference per float leaf,
+    and the other leaves that differ or that one side lacks, by path with list indices as
+    ``*``; None when either text is not JSON."""
+    try:
+        x, y = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
+    except ValueError:
+        return None
+    rel: dict[str, float] = {}
+    other: set[str] = set()
+    for path in x.keys() | y.keys():
+        name = "/".join("*" if part.isdigit() else part for part in path.split("/"))
+        p, q = x.get(path), y.get(path)
+        if type(p) is float and type(q) is float:
+            diff = abs(p - q) / max(abs(p), abs(q)) if p != q else 0.0
+            rel[name] = max(rel.get(name, 0.0), diff)
+        elif p != q or (path in x) != (path in y):
+            other.add(name)
+    return rel, other
 
 
 def _seeds(text: str) -> list[int]:
@@ -153,6 +188,8 @@ def main() -> int:
     fields = ("exit code", "stdout", "stderr", "output files")
     differ = {field: 0 for field in fields}
     bad = csv_files = csv_numbers = 0
+    largest: dict[str, float] = {}  # per float leaf, over the calls whose stdout differs
+    labels: dict[str, int] = {}  # per other leaf, the calls where it differs
     for (argv, a, numbers), (_, b, _) in zip(parent, change):
         diff = [field for field, x, y in zip(fields, a, b) if x != y]
         for field in diff:
@@ -162,6 +199,18 @@ def main() -> int:
             print(f"differ in {', '.join(diff)}: {' '.join(argv)}")
             if "stderr" in diff:
                 print(f"  parent stderr: {a[2].strip()}\n  change stderr: {b[2].strip()}")
+            moved = _json_diff(a[1], b[1]) if "stdout" in diff else None
+            if moved is not None:
+                rel, other = moved
+                top = max(rel, key=rel.get, default=None)
+                if top is not None:
+                    print(f"  stdout: largest relative difference {rel[top]:.2g} at {top}")
+                if other:
+                    print(f"  stdout: other leaves that differ: {', '.join(sorted(other))}")
+                for name, value in rel.items():
+                    largest[name] = max(largest.get(name, 0.0), value)
+                for name in other:
+                    labels[name] = labels.get(name, 0) + 1
         for count, x, y in zip(numbers, a[3], b[3]):  # CSV files that both sides wrote
             if count is not None and None not in (x, y):
                 csv_files, csv_numbers = csv_files + 1, csv_numbers + count
@@ -170,6 +219,12 @@ def main() -> int:
           f"{bad} differ: " + ", ".join(f"{field} {k}" for field, k in differ.items()))
     print(f"{csv_files} CSV files written by both sides compared byte for byte, "
           f"{csv_numbers} CSV numbers (rows times columns) in them")
+    if largest or labels:
+        print("JSON stdout that differs, per leaf over all calls: largest relative difference "
+              + ", ".join(f"{name} {value:.2g}" for name, value in sorted(largest.items()))
+              + "; other leaves that differ: "
+              + (", ".join(f"{name} in {k} calls" for name, k in sorted(labels.items()))
+                 or "none"))
     return 1 if bad else 0
 
 
