@@ -29,7 +29,7 @@ from .robustness import (
     r_value,
     solve_lyapunov,
 )
-from .simulate import SimulationTrace, consensus_reached, simulate
+from .simulate import Simulation, SimulationTrace
 from .spectral import (
     NullBasis,
     block_spectrum,

@@ -35,7 +35,7 @@ from .robustness import (
     effective_resistance_undirected,
     nyquist_sweep,
 )
-from .simulate import consensus_reached, default_dt, default_horizon, simulate, spread
+from .simulate import Simulation, default_dt, default_horizon
 from .spectral import (block_spectrum, helmert_basis, null_basis, reduced_laplacian,
                        spectrum_condition, zero_multiplicity)
 
@@ -114,17 +114,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     dt = args.dt if args.dt is not None else default_dt(L)
     horizon = args.horizon if args.horizon is not None else default_horizon(L, condensation(g))
     rng = np.random.default_rng(args.seed)
-    x0 = rng.uniform(-1.0, 1.0, g.n)
-    trace = simulate(L, x0, dt, horizon)
-    if args.out is not None:
-        Path(args.out).write_text(report.trace_csv(trace), encoding="utf-8")
+    # refuses an oversized run before a row is stepped or --out is opened
+    sim = Simulation(L, rng.uniform(-1.0, 1.0, g.n), dt, horizon)
+    if args.out is None:
+        for _ in sim:  # the verdict needs only what the run keeps of each block
+            pass
+    else:
+        report.write_trace(args.out, sim)
     verdict = {
-        "consensus": consensus_reached(trace, args.rel_tol),
-        "diverged": trace.diverged,
+        "consensus": sim.consensus(args.rel_tol),
+        "diverged": sim.diverged,
         "dt": report.sig15(dt),
         "horizon": report.sig15(horizon),
-        "initial_spread": report.sig15(spread(trace.states[:1])[0]),
-        "final_spread": report.sig15(spread(trace.states[-1:])[0]),
+        "initial_spread": report.sig15(sim.initial_spread),
+        "final_spread": report.sig15(sim.final_spread),
     }
     sys.stdout.write(report.dumps(verdict))
     return EXIT_OK

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .perturb import CLASS_COND1, CLASS_COND2, SIGN_NEGATIVE
 from .reach import ReachDecomposition
 from .robustness import DeltaStarResult
-from .simulate import SimulationTrace
+from .simulate import Simulation, SimulationTrace
 from .spectral import NullBasis
 
 
@@ -47,8 +49,9 @@ _EXACT_POW = int((_LONG.nmant + 1) / math.log2(5))
 _POW10 = np.cumprod(np.full(_EXACT_POW + 1, 10, dtype=np.longdouble)) / 10
 #: twice the error bound of one rounded long double below 1e15, eps / 2 * 1e15 (about 5.4e-5)
 _TIE_MARGIN = float(_LONG.eps) * 1e15
-#: values formatted per chunk: its temporaries, about 300 bytes a value, stay small next to the text
-_CHUNK = 8192
+#: values formatted per chunk, in about 300 bytes of arrays a value: on the simulate bench 4096
+#: gave more calls/s than 8192 in 4 of 4 pairs, and 1.5 MB less peak RSS
+_CHUNK = 4096
 
 
 def _bytes8(rows) -> np.ndarray:
@@ -79,85 +82,184 @@ _k = np.arange(-1, 15)
 _MASKS = np.zeros((16, 16, 16, 2), np.uint8)
 _MASKS[..., 0] = np.where((_k < 0) | (_k >= np.arange(16)[:, None, None]), ord("0") ^ 32, 0)
 _MASKS[..., 1] = np.where((_k >= 0) & (_k == _k[:, None]), ord(".") ^ 32, 0)
-_MASKS = _MASKS.reshape(256, 32).view("<u8")
+_MASKS = np.ascontiguousarray(_MASKS.reshape(256, 32).view("<u8").T)  # a plane per word
 #: sign and lead: none, ``0.``, ``0.0``, ``0.00``, ``0.000``, ``inf``, ``nan``; then with ``-``
 _LEAD = _bytes8([list((sign + lead).ljust(8)) for sign in (b" ", b"-")
                  for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000", b"inf", b"nan")])
 
 
-def _scaled(a: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _CsvWriter:
+    """Float rows turned into CSV text ``_CHUNK`` values at a time, each chunk passed to ``write``.
+
+    ``add`` gathers rows into one values buffer and formats each full chunk; ``flush`` formats
+    the rest.  Every chunk-sized array of ``_rows`` and ``_decimal`` is allocated once, at its
+    first use, and reused by every later chunk: fresh temporaries per chunk fault in new pages
+    on every chunk where the process frees nothing larger, as a streamed trace does not.
+    """
+
+    def __init__(self, width: int, write: Callable[[bytes], object]) -> None:
+        self.width, self.rows, self.write = width, max(1, _CHUNK // width), write
+        #: XOR of the blank last byte of each value's exponent word with its separator
+        self.seps = (np.array([ord(",")] * (width - 1) + [ord("\n")], "<u8") ^ 32) << 56
+        self.size = 0  # values in the chunk being formatted
+        self._values = np.empty((self.rows, width))
+        self._filled = 0
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, dtype: Any = np.int64, planes: int = 1) -> np.ndarray:
+        """The named array: ``size`` entries, or ``planes`` contiguous rows of them."""
+        array = self._arrays.get(name)
+        if array is None:
+            array = self._arrays[name] = np.empty(planes * self._values.size, dtype)
+        view = array[: planes * self.size]
+        return view if planes == 1 else view.reshape(planes, self.size)
+
+    def add(self, *columns: np.ndarray) -> None:
+        """Rows of the columns, 1-D or 2-D arrays of equal length, side by side."""
+        done, total = 0, len(columns[0])
+        while done < total:
+            m = min(self.rows - self._filled, total - done)
+            k, rows = 0, self._values[self._filled:self._filled + m]
+            for column in columns:
+                part = column[done:done + m].reshape(m, -1)
+                rows[:, k:k + part.shape[1]] = part
+                k += part.shape[1]
+            self._filled, done = self._filled + m, done + m
+            if self._filled == self.rows:
+                self.flush()
+
+    def flush(self) -> None:
+        if self._filled:
+            self.size = self._filled * self.width
+            self.write(_rows(self._values[: self._filled], self))
+            self._filled = 0
+
+
+def _scaled(a: np.ndarray, X: np.ndarray, ws: _CsvWriter) -> tuple[np.ndarray, np.ndarray]:
     """``a * 10**(14 - X)`` in long double, and whether its power of ten is exact."""
-    s = 14 - X
-    power = _POW10.take(np.minimum(np.abs(s), _EXACT_POW))
-    y = a * power
-    np.divide(a, power, out=y, where=s < 0)
-    return y, np.abs(s) <= _EXACT_POW
+    s, below, exact = ws("s"), ws("below", bool), ws("exact", bool)
+    power, y = ws("power", np.longdouble), ws("y", np.longdouble)
+    np.subtract(14, X, out=s)
+    np.less(s, 0, out=below)
+    np.abs(s, out=s)
+    np.less_equal(s, _EXACT_POW, out=exact)
+    np.minimum(s, _EXACT_POW, out=s)
+    _POW10.take(s, out=power, mode="wrap")  # mode "raise" would buffer the result
+    np.multiply(a, power, out=y)
+    np.divide(a, power, out=y, where=below)
+    return y, exact
 
 
-def _decimal(x: np.ndarray, regular: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M and X with ``"%.14e" % x`` = the digits of M, then ``e``X, for the regular x; 0 elsewhere.
+def _decimal(x: np.ndarray, irregular: np.ndarray,
+             ws: _CsvWriter) -> tuple[np.ndarray, np.ndarray]:
+    """M and X with ``"%.14e" % x`` = the digits of M, then ``e``X, for the finite nonzero x;
+    0 where ``irregular``.
 
     The scaled ``y = |x| * 10**(14 - X)`` lies in [1e14, 1e15) once X is right; M = rint(y)
     unless y is within ``_TIE_MARGIN`` of a tie or its power of ten is not exact.
     """
-    a = np.where(regular, np.abs(x), 1.0)
-    X = np.floor(np.log10(a)).astype(np.int64)
-    y, exact = _scaled(a, X)
-    off = np.flatnonzero((y >= 1e15) | (y < 1e14))  # log10 is one off next to a power of ten
-    if off.size:
-        X[off] += np.where(y[off] >= 1e15, 1, -1)
-        y[off], exact[off] = _scaled(a[off], X[off])
-    y = np.where(exact, y, 1e14)
-    rounded = np.rint(y)
-    trusted = exact & (np.abs((y - rounded).astype(float)) < 0.5 - _TIE_MARGIN)
-    fallback = np.flatnonzero(regular & ~trusted)
-    M = rounded.astype(np.int64)
-    carry = M == 10**15  # y rounds up into the next decade
-    M, X = np.where(carry, 10**14, M), X + carry
+    a, log, X = ws("a", float), ws("log", float), ws("X")
+    np.abs(x, out=a)
+    np.copyto(a, 1.0, where=irregular)
+    np.log10(a, out=log)
+    np.floor(log, out=log)
+    np.copyto(X, log, casting="unsafe")
+    y, exact = _scaled(a, X, ws)
+    high, low = ws("high", bool), ws("low", bool)
+    np.greater_equal(y, 1e15, out=high)
+    np.less(y, 1e14, out=low)
+    if high.any() or low.any():  # log10 is one off next to a power of ten
+        X += high
+        X -= low
+        y, exact = _scaled(a, X, ws)
+    inexact = np.logical_not(exact, out=ws("inexact", bool))
+    np.copyto(y, 1e14, where=inexact)
+    rounded, gap = np.rint(y, out=ws("rounded", np.longdouble)), ws("gap", float)
+    np.subtract(y, rounded, out=gap)  # in long double, then rounded to a double
+    np.abs(gap, out=gap)
+    untrusted = np.greater_equal(gap, 0.5 - _TIE_MARGIN, out=ws("untrusted", bool))
+    np.logical_or(untrusted, inexact, out=untrusted)
+    np.greater(untrusted, irregular, out=untrusted)  # and not irregular
+    fallback = np.flatnonzero(untrusted)
+    M, carry = ws("M"), ws("carry", bool)
+    np.copyto(M, rounded, casting="unsafe")
+    np.equal(M, 10**15, out=carry)  # y rounds up into the next decade
+    np.copyto(M, 10**14, where=carry)
+    X += carry
     for i, text in zip(fallback.tolist(), ["%.14e" % v for v in a[fallback].tolist()]):
         digits, _, exponent = text.partition("e")
         M[i], X[i] = int(digits.replace(".", "")), int(exponent)
-    return np.where(regular, M, 0), X
+    np.copyto(M, 0, where=irregular)
+    return M, X
 
 
-def _rows(values: np.ndarray, seps: np.ndarray) -> str:
-    """The CSV rows of a 2-D float array, each value as ``"%.15g" % x``.
+def _rows(values: np.ndarray, ws: _CsvWriter) -> bytes:
+    """The CSV rows of a contiguous 2-D float array, each value as ``"%.15g" % x``, computed in
+    the arrays of ``ws``.
 
     Each value gets six words: sign and lead, four of digits and point slots, and the exponent
-    with the separator in its last byte; the blanks between are deleted.
+    with the separator in its last byte; the blanks between are deleted.  The words are laid
+    out one plane per word, so that every table lookup writes contiguous memory.
     """
-    x = values.ravel()
-    finite = np.isfinite(x)
-    regular = finite & (x != 0)
-    M, X = _decimal(x, regular)
-    G = np.empty((x.size, 4), np.int64)  # a pad zero and the 15 digits, four at a time
-    high, low = np.divmod(M, 10**8)
-    np.divmod(high, 10**4, out=(G[:, 0], G[:, 1]))
-    np.divmod(low, 10**4, out=(G[:, 2], G[:, 3]))
-    zeros = _TRAILING_ZEROS.take(G[:, 3])
+    x = values.reshape(-1)
+    finite, nan = np.isfinite(x, out=ws("finite", bool)), np.isnan(x, out=ws("nan", bool))
+    infinite = np.logical_not(finite, out=ws("infinite", bool))  # inf or nan
+    irregular = np.equal(x, 0, out=ws("irregular", bool))
+    np.logical_or(irregular, infinite, out=irregular)
+    M, X = _decimal(x, irregular, ws)
+    G, upper, lower = ws("G", np.int64, 4), ws("upper"), ws("lower")
+    np.divmod(M, 10**8, out=(upper, lower))  # G: a pad zero and the 15 digits, four at a time
+    np.divmod(upper, 10**4, out=(G[0], G[1]))
+    np.divmod(lower, 10**4, out=(G[2], G[3]))
+    zeros, more, test, other = ws("zeros"), ws("more"), ws("test", bool), ws("other", bool)
+    _TRAILING_ZEROS.take(G[3], out=zeros, mode="wrap")
     for j in (2, 1, 0):  # a group's zeros count while every later group is all zeros
-        zeros += np.where(zeros == 12 - 4 * j, _TRAILING_ZEROS.take(G[:, j]), 0)
-    digits = 15 - zeros  # significant digits of M
-    fixed = regular & (X >= -4) & (X < 15)  # %g's switch to exponential at 15 digits
-    whole = np.where(fixed, np.maximum(X + 1, 0), 0)
-    shown = np.where(regular, np.maximum(digits, whole), finite)  # zero shows one 0, inf none
-    point = np.where(fixed, np.where((X >= 0) & (digits > whole), X, -1),
-                     np.where(regular & (digits > 1), 0, -1))
-    nan = np.isnan(x)
-    lead = np.where(finite, np.where(fixed & (X < 0), -X, 0), 5 + nan)
-    words = np.empty((x.size, 6), "<u8")
-    words[:, 0] = _LEAD.take(lead + 7 * (np.signbit(x) & ~nan))
-    words[:, 1:5] = _DIGITS.take(G) ^ _MASKS.take(16 * shown + point + 1, axis=0)
-    words[:, 5] = _EXPONENT.take(np.where(regular & ~fixed, X - _EXP_MIN, -1))
-    words.reshape(*values.shape, 6)[..., 5] ^= seps
-    return words.tobytes().translate(None, b" ").decode("ascii")
+        np.equal(zeros, 12 - 4 * j, out=test)
+        _TRAILING_ZEROS.take(G[j], out=more, mode="wrap")
+        np.add(zeros, more, out=zeros, where=test)
+    digits = np.subtract(15, zeros, out=zeros)  # significant digits of M
+    fixed = ws("fixed", bool)  # %g's switch to exponential at 15 digits
+    np.greater_equal(X, -4, out=fixed)
+    np.logical_and(fixed, np.less(X, 15, out=test), out=fixed)
+    np.greater(fixed, irregular, out=fixed)  # and regular
+    plain = np.logical_or(irregular, fixed, out=ws("plain", bool))  # no exponent
+    whole, lead = np.add(X, 1, out=ws("whole")), np.negative(X, out=ws("lead"))
+    np.logical_not(fixed, out=test)
+    for count in (whole, lead):  # digits before the point; zeros after it, before the digits
+        np.maximum(count, 0, out=count)
+        np.copyto(count, 0, where=test)
+    shown = np.maximum(digits, whole, out=ws("shown"))
+    np.copyto(shown, finite, where=irregular)  # zero shows one 0, inf none
+    point = ws("point")  # after digit X of a fixed value with a fraction, after the first of an
+    point.fill(-1)  # exponential one with more than one digit; -1 for none
+    np.logical_and(np.greater(digits, whole, out=test), np.greater(whole, 0, out=other), out=test)
+    np.copyto(point, X, where=test)
+    np.greater(np.greater(digits, 1, out=test), plain, out=test)  # and not plain
+    np.copyto(point, 0, where=test)
+    np.add(nan, 5, out=lead, where=infinite)
+    negative = np.greater(np.signbit(x, out=test), nan, out=test)  # and not nan
+    np.add(lead, 7, out=lead, where=negative)
+    words, mask = ws("words", "<u8", 6), ws("mask", "<u8", 4)
+    _LEAD.take(lead, out=words[0], mode="wrap")
+    _DIGITS.take(G, out=words[1:5], mode="wrap")
+    shown *= 16
+    shown += point
+    shown += 1
+    _MASKS.take(shown, axis=1, out=mask, mode="wrap")
+    words[1:5] ^= mask
+    np.subtract(X, _EXP_MIN, out=X)
+    np.copyto(X, -1, where=plain)  # the blank word; "clip" would take the first instead
+    _EXPONENT.take(X, out=words[5], mode="wrap")
+    exponent = words[5].reshape(-1, ws.width)
+    exponent ^= ws.seps
+    return words.T.tobytes().translate(None, b" ")
 
 
 def _csv(header: list[str], columns: tuple[np.ndarray, ...], trailer: str | None = None) -> str:
     """CSV text: the header, one ``%.15g`` row per row of the columns, then the trailer.
 
-    A 2-D column array gives one CSV column per array column.  Rows are formatted ``_CHUNK``
-    values at a time by ``_rows`` and joined once, so the text is built next to about one
+    A 2-D column array gives one CSV column per array column.  The chunks' text is joined
+    once, after ``_CsvWriter`` and its arrays are freed, so the text is built next to about one
     copy of itself.  Each value's 15-digit mantissa M is ``rint`` of one long double product
     ``y = |x| * 10**(14 - X)`` with an exact power of ten.  Rounded once, y errs by at most
     eps / 2 * 1e15; ``_TIE_MARGIN`` is twice that, which also covers the float64 rounding of
@@ -166,14 +268,39 @@ def _csv(header: list[str], columns: tuple[np.ndarray, ...], trailer: str | None
     of random values with an x87 long double, about half where long double is a double.
     ``-0``, ``inf``, ``-inf`` and ``nan`` print as ``%`` prints them, without a fallback.
     """
-    seps = (np.array([ord(",")] * (len(header) - 1) + [ord("\n")], "<u8") ^ 32) << 56
-    rows = max(1, _CHUNK // len(header))
     pieces = [",".join(header) + "\n"]
-    for start in range(0, len(columns[0]), rows):
-        pieces.append(_rows(np.column_stack([c[start:start + rows] for c in columns]), seps))
+    writer = _CsvWriter(len(header), lambda text: pieces.append(text.decode("ascii")))
+    writer.add(*columns)
+    writer.flush()
+    del writer
     if trailer is not None:
         pieces.append(trailer + "\n")
     return "".join(pieces)
+
+
+def _trace_header(n: int) -> list[str]:
+    return ["t", *(f"x{i}" for i in range(1, n + 1))]
+
+
+def write_trace(path: str, sim: Simulation) -> None:
+    """Iterate ``sim`` to its end, writing its trace CSV to ``path`` as the blocks arrive.
+
+    The bytes are those of ``trace_csv`` of the whole trace.  A run that raises anything,
+    Ctrl-C and ``MemoryError`` included, removes the file and leaves none.
+    """
+    file = open(path, "wb")
+    try:
+        with file:
+            file.write((",".join(_trace_header(sim.n)) + "\n").encode("ascii"))
+            writer = _CsvWriter(sim.n + 1, file.write)
+            for start, states in sim:
+                writer.add(sim.dt * np.arange(start, start + len(states)), states)
+            writer.flush()
+            if sim.diverged:
+                file.write(b"# diverged\n")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:
@@ -181,8 +308,8 @@ def sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:
 
 
 def trace_csv(trace: SimulationTrace) -> str:
-    header = ["t", *(f"x{i}" for i in range(1, trace.states.shape[1] + 1))]
-    return _csv(header, (trace.times, trace.states), "# diverged" if trace.diverged else None)
+    return _csv(_trace_header(trace.states.shape[1]), (trace.times, trace.states),
+                "# diverged" if trace.diverged else None)
 
 
 def dumps(payload: Any) -> str:

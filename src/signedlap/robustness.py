@@ -241,8 +241,11 @@ def effective_resistance_undirected(g_plus: SignedDigraph, u: int, v: int) -> Ef
 
 
 def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur form: a 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(-bc)."""
-    w = np.sqrt(-np.diag(T, 1) * np.diag(T, -1))  # 0 where the subdiagonal c is 0
+    """Eigenvalues of a real Schur form: a 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(-bc).
+
+    b and c have opposite signs; sqrt(|b|) sqrt(|c|) does not overflow where bc would, past
+    weights of about 2^507."""
+    w = np.sqrt(np.abs(np.diag(T, 1))) * np.sqrt(np.abs(np.diag(T, -1)))  # 0 where c is 0
     return np.diag(T) + 1j * (np.append(w, 0.0) - np.append(0.0, w))
 
 

@@ -32,7 +32,7 @@ from signedlap import (
 )
 from signedlap.perturb import CLASS_COND1, CLASS_COND2, SIGN_NEGATIVE
 from signedlap.report import sig15
-from signedlap.simulate import OVERFLOW_LIMIT, SimulationTrace
+from signedlap.simulate import OVERFLOW_LIMIT, Simulation, SimulationTrace
 
 
 CLASS_REMARK4A = "Remark4a"
@@ -252,6 +252,40 @@ def reference_rk4(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> S
     states = states[: last + 1]
     times = dt * np.arange(last + 1)
     return SimulationTrace(times=times, states=states, dt=dt, diverged=diverged)
+
+
+def simulate(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> SimulationTrace:
+    """The whole trace of ``Simulation``'s stepping loop, each block copied out as it arrives."""
+    sim = Simulation(L, x0, dt, horizon)
+    states = np.concatenate([rows.copy() for _, rows in sim])
+    return SimulationTrace(times=dt * np.arange(len(states)), states=states, dt=dt,
+                           diverged=sim.diverged)
+
+
+def spread(states: np.ndarray) -> np.ndarray:
+    """Max pairwise disagreement per sample."""
+    return states.max(axis=1) - states.min(axis=1)
+
+
+def consensus_reached(trace: SimulationTrace, rel_tol: float = 1e-6) -> bool:
+    """True iff the last 5% of samples dissolve the initial disagreement, judged on the whole
+    trace: the reference for ``Simulation.consensus``.
+
+    The final-window spread is compared against rel_tol times the initial
+    spread; a trace that starts in exact agreement compares against rel_tol
+    itself.  A diverged trace never reaches consensus.
+    """
+    if not 0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if trace.states.size == 0:
+        raise ValueError("empty trace")
+    if trace.diverged:
+        return False
+    window = max(1, int(np.ceil(0.05 * trace.states.shape[0])))
+    final = spread(trace.states[-window:]).max()
+    initial = float(spread(trace.states[:1])[0])
+    reference = initial if initial > 0.0 else 1.0
+    return bool(final < rel_tol * reference)
 
 
 def fmt15(x: float) -> str:

@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 from signedlap import (
     EdgePerturbation,
     SignedDigraph,
+    Simulation,
     condensation,
-    consensus_reached,
     delta_star,
     helmert_basis,
     laplacian,
@@ -24,7 +24,6 @@ from signedlap import (
     r_value,
     reach_decomposition,
     reduced_laplacian,
-    simulate,
     solve_lyapunov,
     superpose,
 )
@@ -260,7 +259,9 @@ def test_criterion_6_consensus_demonstration():
             pert = EdgePerturbation(3, 8, q_uv=1.0, q_vu=0.0, delta=delta)
             gp = superpose(g, pert.graph(8))
             L = laplacian(gp)
-            trace = simulate(L, x0, dt=default_dt(L), horizon=default_horizon(L, condensation(gp)))
-            outcomes[delta] = consensus_reached(trace)
+            sim = Simulation(L, x0, dt=default_dt(L), horizon=default_horizon(L, condensation(gp)))
+            for _ in sim:
+                pass
+            outcomes[delta] = sim.consensus(1e-6)
         assert outcomes[1.5] is True
         assert outcomes[1.95] is False

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,12 @@ import signedlap
 from signedlap import (EdgePerturbation, NumericsError, SignedDigraph, cli, delta_star, laplacian,
                        matrix_scale, parse_edge_list, reach, report)
 from signedlap.cli import main
-from signedlap.simulate import consensus_reached, default_dt, default_horizon, spread
+from signedlap.simulate import _BLOCK, Simulation, default_dt, default_horizon
 from signedlap.spectral import ZERO_TOL
 
 from conftest import DEFECTIVE_ZERO, bisection_delta_star
-from helpers import (reference_analyze_json, reference_rk4, reference_sensitive_json,
-                     reference_trace_csv)
+from helpers import (consensus_reached, reference_analyze_json, reference_rk4,
+                     reference_sensitive_json, reference_trace_csv, spread)
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,7 +211,7 @@ def test_out_of_memory_exit_code(capsys, monkeypatch, exc, message):
     def exhaust(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "simulate", exhaust)
+    monkeypatch.setattr(cli, "Simulation", exhaust)
     code, out, err = run(capsys, "simulate", "--graph", str(DATA / "triangle.txt"))
     assert code == 4 and out == "" and err == message
 
@@ -481,9 +482,76 @@ def test_interrupt_exit_code(capsys, monkeypatch):
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "simulate", interrupt)  # Ctrl-C in the middle of the subcommand
+    monkeypatch.setattr(cli, "Simulation", interrupt)  # Ctrl-C in the middle of the subcommand
     code, out, err = run(capsys, "simulate", "--graph", str(DATA / "triangle.txt"))
     assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (KeyboardInterrupt, 130, "error: interrupted\n"),
+    (MemoryError, 4, "error: out of memory\n"),
+], ids=["interrupt", "out-of-memory"])
+def test_failed_streamed_run_leaves_no_out_file(capsys, monkeypatch, tmp_path, exc, code, message):
+    trace_path = tmp_path / "trace.csv"
+
+    class Failing(Simulation):
+        """A run whose one-step product raises at step 2000, in the second block of rows,
+        after the first block was written."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            step, steps = self._step, itertools.count(1)
+
+            class Step:
+                def dot(self, x, out):
+                    if next(steps) == 2000:
+                        assert trace_path.stat().st_size > 0
+                        raise exc
+                    return step.dot(x, out)
+
+            self._step = Step()
+
+    monkeypatch.setattr(cli, "Simulation", Failing)
+    got = run(capsys, "simulate", "--graph", str(DATA / "triangle.txt"), "--out", str(trace_path))
+    assert got == (code, "", message)
+    assert not trace_path.exists()
+
+
+def test_refused_simulate_writes_no_out_file(capsys, tmp_path):
+    graph, trace_path = tmp_path / "path3.txt", tmp_path / "trace.csv"
+    graph.write_text("3\n2 1 1\n3 2 1e-6\n")  # 1e10 default steps
+    code, out, err = run(capsys, "simulate", "--graph", str(graph), "--out", str(trace_path))
+    assert code == 3 and out == "" and "MAX_TRACE_BYTES" in err
+    assert not trace_path.exists()
+
+
+@pytest.mark.parametrize("write", [False, True], ids=["verdict", "out"])
+def test_simulate_memory_does_not_grow_with_the_step_count(capsys, tmp_path, write):
+    n, rng = 40, np.random.default_rng(40)
+    edges = {(i, i % n + 1): 1.0 for i in range(1, n + 1)}  # a ring, then chords
+    edges.update({(int(u), int(v)): float(rng.uniform(0.5, 2.0))
+                  for u, v in rng.integers(1, n + 1, (3 * n, 2)) if u != v})
+    graph = tmp_path / "g40.txt"
+    graph.write_text(f"{n}\n" + "".join(f"{u} {v} {w!r}\n" for (u, v), w in edges.items()))
+    dt = default_dt(laplacian(SignedDigraph(n, edges)))
+    out = ("--out", str(tmp_path / "trace.csv")) if write else ()
+    # the stepping buffer of _BLOCK + 1 rows with its per-row spreads, a few n x n matrices
+    # building the one-step matrix, and with --out the CSV kernel: fewer than 400 bytes of
+    # arrays per value of a chunk, and the chunk's text; the whole 20 001-row trace is 6.4 MB
+    bound = 2 * (_BLOCK + 1) * (n + 4) * 8 + 16 * n * n * 8 + 400 * report._CHUNK * write + 2**18
+    peaks = []
+    for steps in (2000, 20_000):
+        argv = ["simulate", "--graph", str(graph), "--horizon", repr(steps * dt), *out]
+        assert run(capsys, *argv)[0] == 0  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert max(peaks) < bound, (peaks, bound)
+    assert peaks[1] < 1.05 * peaks[0], peaks
 
 
 def test_resistance_matches_the_api_on_every_data_graph(capsys):

@@ -34,9 +34,8 @@ DATA = Path(__file__).parent / "data"
 
 #: the range of k.  Low end: ``sensitive --epsilon 1e-4 * 2^k`` must stay at least CANCEL_TOL
 #: (1e-12), so 2^k >= 1e-8.  High end: weights of about 1e12 (2^40), where an absolute Re G
-#: threshold once refused the complete triangle.  The answers stay scale-free far beyond it,
-#: up to about 2^507 for these weights, where ``robustness._schur_eigenvalues`` multiplies two
-#: entries of a 2 x 2 Schur block and the product overflows float64
+#: threshold once refused the complete triangle.  The answers stay scale-free far beyond it;
+#: ``test_resistance_scales_past_a_schur_product_overflow`` checks 2^512 and 2^1000
 K_MIN, K_MAX = -26, 40
 #: sensitive's test weight at scale 1, the CLI default
 EPSILON = 1e-4
@@ -189,6 +188,21 @@ def test_resistance_of_a_small_weight_triangle(tmp_path):
                          "--pair", "1", "2")
     assert code == 0, err
     assert json.loads(out)["r_uv"] == pytest.approx(math.ldexp(2.0 / 3.0, 35), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [512, 1000])
+def test_resistance_scales_past_a_schur_product_overflow(tmp_path, k):
+    # a complex pair of Lbar sits in a 2 x 2 Schur block [[a, b], [c, a]]; past about 2^507
+    # the product bc of these weights overflowed, and resistance refused the solvable
+    # equation with 'eigenvalues sum to zero'
+    g = SignedDigraph(4, {(1, 4): 2.452487411415408, (2, 1): 2.4683059998622427,
+                          (3, 4): 1.2529731687545451, (4, 3): 2.243270548375313,
+                          (3, 2): 1.4543070476784126})
+    base = call("resistance", "--graph", write(g, tmp_path / "g.txt"), "--pair", "1", "2")
+    moved = call("resistance", "--graph", write(scaled(g, k), tmp_path / "gk.txt"),
+                 "--pair", "1", "2")
+    assert base[0] == moved[0] == 0, moved[2]
+    assert_scaled(json.loads(base[1]), json.loads(moved[1]), k, POWERS["resistance"])
 
 
 def test_resistance_refuses_a_nilpotent_laplacian_of_large_weights(tmp_path):

@@ -9,21 +9,20 @@ from numpy.testing import assert_allclose
 from signedlap import (
     EdgePerturbation,
     SignedDigraph,
+    Simulation,
     condensation,
-    consensus_reached,
     delta_star,
     laplacian,
     matrix_scale,
     null_basis,
     reach_decomposition,
-    simulate,
     superpose,
 )
 from signedlap.errors import PremiseError
-from signedlap.simulate import OVERFLOW_LIMIT, default_dt, default_horizon, spread
+from signedlap.simulate import OVERFLOW_LIMIT, default_dt, default_horizon
 
 from conftest import random_premise_graph
-from helpers import check_spectrum_condition, reference_rk4
+from helpers import check_spectrum_condition, consensus_reached, reference_rk4, simulate, spread
 
 
 def test_zero_field_is_equilibrium():
@@ -207,3 +206,46 @@ def test_stepping_past_divergence_warns_nothing():
         trace = simulate(L, x0, dt=0.01, horizon=10.0)
     assert trace.diverged and trace.states.shape[0] == 1
     assert_same_trace(trace, reference_rk4(L, x0, 0.01, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), steps=st.sampled_from((1, 19, 20, 21, 1023, 1024, 1025, 2049, 2500)),
+       bad_row=st.sampled_from((None, 1, 2, 1024, 1025, 2049, 2400)),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulation_keeps_the_verdict_of_its_whole_trace(n, steps, bad_row, seed):
+    # a stable ring, whose spread decays, so the window's largest spread is at its first row,
+    # or growth that diverges at bad_row
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    if bad_row is None:
+        L = laplacian(SignedDigraph(n, {(i, i % n + 1): float(rng.uniform(0.5, 2.0))
+                                        for i in range(1, n + 1) if n > 1}))
+        dt = 0.1 / (matrix_scale(L) or 1.0)
+    else:
+        L, dt, steps = -np.eye(n), 0.1, 2500
+        growth = 1.0 + dt + dt**2 / 2.0 + dt**3 / 6.0 + dt**4 / 24.0
+        x0 *= OVERFLOW_LIMIT / growth ** (bad_row - 0.5) / np.abs(x0).max()
+    sim = Simulation(L, x0, dt, steps * dt)
+    blocks = [(start, rows.copy()) for start, rows in sim]
+    ref = reference_rk4(L, x0, dt, steps * dt)
+    assert [start for start, _ in blocks] == list(np.cumsum([0] + [len(r) for _, r in blocks[:-1]]))
+    assert np.concatenate([rows for _, rows in blocks]).tobytes() == ref.states.tobytes()
+    assert sim.diverged == ref.diverged == (bad_row is not None)
+    assert sim.initial_spread == spread(ref.states[:1])[0]
+    assert sim.final_spread == spread(ref.states[-1:])[0]
+    window = max(1, int(np.ceil(0.05 * ref.states.shape[0])))
+    final, initial = spread(ref.states[-window:]).max(), spread(ref.states[:1])[0]
+    reference = initial if initial > 0.0 else 1.0
+    for rel_tol in (1e-6, 0.5, final / reference * (1 + 1e-9), final / reference * (1 - 1e-9)):
+        if 0 < rel_tol < np.inf:
+            assert sim.consensus(rel_tol) is consensus_reached(ref, rel_tol)
+
+
+def test_simulation_consensus_from_agreement():
+    sim = Simulation(np.zeros((3, 3)), np.full(3, 4.2), dt=0.1, horizon=2.0)
+    for _ in sim:
+        pass
+    assert sim.consensus(1e-6)
+    for rel_tol in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="rel_tol"):
+            sim.consensus(rel_tol)

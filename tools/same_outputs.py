@@ -24,10 +24,12 @@ written through ``--out`` or ``--sweep-out``, prints the counts and each
 differing call, and exits 1 on any difference.  Next to the call counts it
 prints how many CSV files both sides wrote and how many numbers (rows times
 columns) those files hold, so a claim that the CSV bytes did not change
-states its coverage.  Where both sides print JSON and stdout differs, it
-prints the largest relative difference over the float leaves and names
-every other leaf that differs (a label, a boolean, a count, a list
-length), per call and, at the end, per leaf over all calls.
+states its coverage, and the peak RSS (``ru_maxrss``) of each side's process,
+so a memory change can be checked without the benchmark.  Where both sides
+print JSON and stdout differs, it prints the largest relative difference
+over the float leaves and names every other leaf that differs (a label, a
+boolean, a count, a list length), per call and, at the end, per leaf over
+all calls.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -86,8 +89,9 @@ def _csv_numbers(text: str) -> int:
     return (text.count("\n") - 1 - text.count("\n#")) * columns
 
 
-def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
-    """Make every call with the package under ``src``; one (argv, outcome, numbers) per call.
+def run_side(src: str, seeds: list[int], workdir: str) -> tuple[list[tuple], float]:
+    """Make every call with the package under ``src``: one (argv, outcome, numbers) per call,
+    and the peak RSS of this process in MiB.
 
     The outcome holds the exit code (or the exception that escaped
     ``cli.main``), stdout and stderr in full, and the digest of
@@ -125,7 +129,7 @@ def run_side(src: str, seeds: list[int], workdir: str) -> list[tuple]:
                 numbers.append(_csv_numbers(text) if text and path.endswith(".csv") else None)
                 written.unlink(missing_ok=True)
         results.append((argv, (code, out.getvalue(), err.getvalue(), files), numbers))
-    return results
+    return results, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def _leaves(tree, path: str = ""):
@@ -178,7 +182,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir, \
             multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
         sides = ((args.parent_src, parent_dir), (args.change_src, change_dir))
-        parent, change = pool.starmap(
+        (parent, parent_rss), (change, change_rss) = pool.starmap(
             run_side, [(str(Path(src).resolve()), args.seeds, workdir) for src, workdir in sides],
             chunksize=1)
 
@@ -219,6 +223,8 @@ def main() -> int:
           f"{bad} differ: " + ", ".join(f"{field} {k}" for field, k in differ.items()))
     print(f"{csv_files} CSV files written by both sides compared byte for byte, "
           f"{csv_numbers} CSV numbers (rows times columns) in them")
+    print(f"peak RSS (ru_maxrss of each side's process): parent {parent_rss:.1f} MiB, "
+          f"change {change_rss:.1f} MiB")
     if largest or labels:
         print("JSON stdout that differs, per leaf over all calls: largest relative difference "
               + ", ".join(f"{name} {value:.2g}" for name, value in sorted(largest.items()))
