@@ -29,7 +29,7 @@ from .robustness import (
     r_value,
     solve_lyapunov,
 )
-from .simulate import Simulation, SimulationTrace
+from .simulate import Simulation
 from .spectral import (
     NullBasis,
     block_spectrum,

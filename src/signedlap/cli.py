@@ -79,7 +79,7 @@ def _cmd_delta_star(args: argparse.Namespace) -> int:
         Q, L1 = helmert_basis(g.n), laplacian(g)
         omegas, values = nyquist_sweep(reduced_laplacian(L1, Q), Q, u, v, pert.q_uv, pert.q_vu,
                                        matrix_scale(L1))
-        Path(args.sweep_out).write_text(report.sweep_csv(omegas, values), encoding="utf-8")
+        report.write_sweep(args.sweep_out, omegas, values)
     _emit(report.dumps(report.delta_star_json(result)), args.out)
     return EXIT_OK
 

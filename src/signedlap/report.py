@@ -4,8 +4,9 @@ Floats are rendered at 15 significant digits; infinities and NaNs become the
 strings "inf", "-inf", "nan" so that emitted JSON stays strict.
 
 The CSVs print every number exactly as ``"%.15g" % x`` does, but from one
-array kernel (``_csv``) rather than one ``%`` per value; ``"%.14e" % x`` is
-left only as the exact fallback for values the kernel cannot round.
+array kernel (``_rows``) rather than one ``%`` per value; ``"%.14e" % x`` is
+left only as the exact fallback for values the kernel cannot round.  Both
+CSVs are streamed to their file a chunk at a time by ``_csv_file``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from .perturb import CLASS_COND1, CLASS_COND2, SIGN_NEGATIVE
 from .reach import ReachDecomposition
 from .robustness import DeltaStarResult
-from .simulate import Simulation, SimulationTrace
+from .simulate import Simulation
 from .spectral import NullBasis
 
 
@@ -155,8 +157,14 @@ def _decimal(x: np.ndarray, irregular: np.ndarray,
     """M and X with ``"%.14e" % x`` = the digits of M, then ``e``X, for the finite nonzero x;
     0 where ``irregular``.
 
-    The scaled ``y = |x| * 10**(14 - X)`` lies in [1e14, 1e15) once X is right; M = rint(y)
-    unless y is within ``_TIE_MARGIN`` of a tie or its power of ten is not exact.
+    The scaled ``y = |x| * 10**(14 - X)`` lies in [1e14, 1e15) once X is right.  Each value's
+    15-digit mantissa M is ``rint`` of that one long double product, with an exact power of
+    ten.  Rounded once, y errs by at most eps / 2 * 1e15; ``_TIE_MARGIN`` is twice that, which
+    also covers the float64 rounding of ``y - rint(y)``.  Where y is within the margin of a
+    half-integer, or 10**|14 - X| is past the exact table (|x| outside about 1e-13..1e42), M
+    and X come from ``"%.14e" % x``: 0.02 % of random values with an x87 long double, about
+    half where long double is a double.  ``-0``, ``inf``, ``-inf`` and ``nan`` print as ``%``
+    prints them, without a fallback.
     """
     a, log, X = ws("a", float), ws("log", float), ws("X")
     np.abs(x, out=a)
@@ -255,61 +263,41 @@ def _rows(values: np.ndarray, ws: _CsvWriter) -> bytes:
     return words.T.tobytes().translate(None, b" ")
 
 
-def _csv(header: list[str], columns: tuple[np.ndarray, ...], trailer: str | None = None) -> str:
-    """CSV text: the header, one ``%.15g`` row per row of the columns, then the trailer.
+@contextmanager
+def _csv_file(path: str, header: list[str]) -> Iterator[_CsvWriter]:
+    """A ``_CsvWriter`` of the header's width that writes to a new file at ``path``, after the
+    header line, and is flushed on leaving the block.
 
-    A 2-D column array gives one CSV column per array column.  The chunks' text is joined
-    once, after ``_CsvWriter`` and its arrays are freed, so the text is built next to about one
-    copy of itself.  Each value's 15-digit mantissa M is ``rint`` of one long double product
-    ``y = |x| * 10**(14 - X)`` with an exact power of ten.  Rounded once, y errs by at most
-    eps / 2 * 1e15; ``_TIE_MARGIN`` is twice that, which also covers the float64 rounding of
-    ``y - rint(y)``.  Where y is within the margin of a half-integer, or 10**|14 - X| is past
-    the exact table (|x| outside about 1e-13..1e42), M and X come from ``"%.14e" % x``: 0.02 %
-    of random values with an x87 long double, about half where long double is a double.
-    ``-0``, ``inf``, ``-inf`` and ``nan`` print as ``%`` prints them, without a fallback.
-    """
-    pieces = [",".join(header) + "\n"]
-    writer = _CsvWriter(len(header), lambda text: pieces.append(text.decode("ascii")))
-    writer.add(*columns)
-    writer.flush()
-    del writer
-    if trailer is not None:
-        pieces.append(trailer + "\n")
-    return "".join(pieces)
-
-
-def _trace_header(n: int) -> list[str]:
-    return ["t", *(f"x{i}" for i in range(1, n + 1))]
-
-
-def write_trace(path: str, sim: Simulation) -> None:
-    """Iterate ``sim`` to its end, writing its trace CSV to ``path`` as the blocks arrive.
-
-    The bytes are those of ``trace_csv`` of the whole trace.  A run that raises anything,
-    Ctrl-C and ``MemoryError`` included, removes the file and leaves none.
+    Anything raised in the block, Ctrl-C and ``MemoryError`` included, removes the file and
+    leaves none, even where a file was at ``path`` before.
     """
     file = open(path, "wb")
     try:
         with file:
-            file.write((",".join(_trace_header(sim.n)) + "\n").encode("ascii"))
-            writer = _CsvWriter(sim.n + 1, file.write)
-            for start, states in sim:
-                writer.add(sim.dt * np.arange(start, start + len(states)), states)
+            file.write((",".join(header) + "\n").encode("ascii"))
+            writer = _CsvWriter(len(header), file.write)
+            yield writer
             writer.flush()
-            if sim.diverged:
-                file.write(b"# diverged\n")
     except BaseException:
         os.remove(path)
         raise
 
 
-def sweep_csv(omegas: np.ndarray, values: np.ndarray) -> str:
-    return _csv(["omega", "re", "im"], (omegas, values.real, values.imag))
+def write_trace(path: str, sim: Simulation) -> None:
+    """Iterate ``sim`` to its end, writing its trace CSV to ``path`` as the blocks arrive: the
+    time and the states of each row, then ``# diverged`` if the run diverged."""
+    with _csv_file(path, ["t", *(f"x{i}" for i in range(1, sim.n + 1))]) as writer:
+        for start, states in sim:
+            writer.add(sim.dt * np.arange(start, start + len(states)), states)
+        writer.flush()
+        if sim.diverged:
+            writer.write(b"# diverged\n")
 
 
-def trace_csv(trace: SimulationTrace) -> str:
-    return _csv(_trace_header(trace.states.shape[1]), (trace.times, trace.states),
-                "# diverged" if trace.diverged else None)
+def write_sweep(path: str, omegas: np.ndarray, values: np.ndarray) -> None:
+    """Write the sweep CSV of G(j omega) to ``path``: omega, re and im of each sample."""
+    with _csv_file(path, ["omega", "re", "im"]) as writer:
+        writer.add(omegas, values.real, values.imag)
 
 
 def dumps(payload: Any) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,6 @@ DT_FACTOR = 0.01
 
 #: rows stepped into the reused buffer between divergence checks
 _BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class SimulationTrace:
-    """A whole trace, as ``report.trace_csv`` writes it."""
-
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), n)
-    dt: float
-    diverged: bool = False
 
 
 def default_dt(L: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from signedlap import (
 )
 from signedlap.perturb import CLASS_COND1, CLASS_COND2, SIGN_NEGATIVE
 from signedlap.report import sig15
-from signedlap.simulate import OVERFLOW_LIMIT, Simulation, SimulationTrace
+from signedlap.simulate import OVERFLOW_LIMIT, Simulation
 
 
 CLASS_REMARK4A = "Remark4a"
@@ -228,6 +228,16 @@ def zero_group(values: np.ndarray, d: int) -> np.ndarray:
     """The d eigenvalues of smallest modulus (the perturbed zero group)."""
     idx = np.argsort(np.abs(values))[:d]
     return values[idx]
+
+
+@dataclass(frozen=True)
+class SimulationTrace:
+    """A whole trace, as ``reference_trace_csv`` writes it."""
+
+    times: np.ndarray
+    states: np.ndarray  # shape (len(times), n)
+    dt: float
+    diverged: bool = False
 
 
 def reference_rk4(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> SimulationTrace:

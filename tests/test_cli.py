@@ -517,6 +517,29 @@ def test_failed_streamed_run_leaves_no_out_file(capsys, monkeypatch, tmp_path, e
     assert not trace_path.exists()
 
 
+@pytest.mark.parametrize("exc, code, message", [
+    (KeyboardInterrupt, 130, "error: interrupted\n"),
+    (MemoryError, 4, "error: out of memory\n"),
+], ids=["interrupt", "out-of-memory"])
+def test_failed_sweep_out_leaves_no_file(capsys, monkeypatch, tmp_path, exc, code, message):
+    sweep_path, rows, chunks = tmp_path / "sweep.csv", report._rows, itertools.count(1)
+    sweep_path.write_text("an older sweep\n")  # removed as well
+
+    def failing(values, ws):
+        """The kernel, raising on the second chunk of the 2002-row sweep, after the first
+        chunk was written."""
+        if next(chunks) == 2:
+            assert sweep_path.stat().st_size > 1000
+            raise exc
+        return rows(values, ws)
+
+    monkeypatch.setattr(report, "_rows", failing)
+    got = run(capsys, "delta-star", "--graph", str(DATA / "spoked8.txt"), "--pair", "3", "8",
+              "--sweep-out", str(sweep_path))
+    assert got == (code, "", message)
+    assert not sweep_path.exists()
+
+
 def test_refused_simulate_writes_no_out_file(capsys, tmp_path):
     graph, trace_path = tmp_path / "path3.txt", tmp_path / "trace.csv"
     graph.write_text("3\n2 1 1\n3 2 1e-6\n")  # 1e10 default steps

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,18 +10,26 @@ from hypothesis.extra.numpy import arrays
 
 from signedlap import NullBasis, NumericsError, ReachDecomposition, nyquist_sweep, r_value, report
 from signedlap.report import (
+    _CsvWriter,
     delta_star_json,
     dumps,
     dumps_analyze,
     dumps_sensitive,
     sig15,
-    sweep_csv,
-    trace_csv,
+    write_sweep,
+    write_trace,
 )
 from signedlap.robustness import DeltaStarResult
-from signedlap.simulate import SimulationTrace
+from signedlap.simulate import _BLOCK, Simulation
 
-from helpers import analyze_json, reference_sweep_csv, reference_trace_csv, spectrum_json
+from helpers import (
+    SimulationTrace,
+    analyze_json,
+    reference_rk4,
+    reference_sweep_csv,
+    reference_trace_csv,
+    spectrum_json,
+)
 
 
 def test_sig15():
@@ -56,21 +63,49 @@ def test_delta_star_json_handles_infinity():
     assert parsed["diagnostic"] is None
 
 
-def test_sweep_csv_format():
-    text = sweep_csv(np.array([0.0, math.inf]), np.array([0.5 + 0j, 0j]))
-    assert text.splitlines() == ["omega,re,im", "0,0.5,0", "inf,0,0"]
+def kernel_csv(header: list[str], *columns: np.ndarray) -> str:
+    """The header line, then the rows of the columns as ``_CsvWriter`` formats them."""
+    chunks = [(",".join(header) + "\n").encode("ascii")]
+    writer = _CsvWriter(len(header), chunks.append)
+    writer.add(*columns)
+    writer.flush()
+    return b"".join(chunks).decode("ascii")
 
 
-def test_trace_csv_diverged_marker():
-    trace = SimulationTrace(
-        times=np.array([0.0, 0.1]),
-        states=np.array([[1.0, -1.0], [2.0, -2.0]]),
-        dt=0.1,
-        diverged=True,
-    )
-    lines = trace_csv(trace).splitlines()
-    assert lines[0] == "t,x1,x2"
+def trace_header(n: int) -> list[str]:
+    return ["t", *(f"x{i}" for i in range(1, n + 1))]
+
+
+class Replay:
+    """A whole trace handed to ``write_trace`` as ``Simulation`` hands over its run: blocks of
+    at most ``_BLOCK`` rows, then ``diverged``."""
+
+    def __init__(self, trace: SimulationTrace) -> None:
+        self.trace, self.n, self.dt = trace, trace.states.shape[1], trace.dt
+        self.diverged = False
+
+    def __iter__(self):
+        for start in range(0, len(self.trace.states), _BLOCK):
+            yield start, self.trace.states[start:start + _BLOCK]
+        self.diverged = self.trace.diverged
+
+
+def test_sweep_csv_format(tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_sweep(path, np.array([0.0, math.inf]), np.array([0.5 + 0j, 0j]))
+    assert path.read_text().splitlines() == ["omega,re,im", "0,0.5,0", "inf,0,0"]
+
+
+def test_trace_csv_diverged_marker(tmp_path):
+    # x grows by about e**0.1 a step and passes OVERFLOW_LIMIT at step 24
+    L, x0, path = np.array([[-1.0]]), np.array([1e149]), tmp_path / "trace.csv"
+    sim = Simulation(L, x0, 0.1, 3.0)
+    write_trace(path, sim)
+    lines = path.read_text().splitlines()
+    assert sim.diverged and len(lines) == 1 + 24 + 1
+    assert lines[0] == "t,x1"
     assert lines[-1] == "# diverged"
+    assert path.read_text() == reference_trace_csv(reference_rk4(L, x0, 0.1, 3.0))
 
 
 #: -0, subnormals, +-1e+-300, integral values and 17-digit values next to any float
@@ -90,27 +125,42 @@ def test_trace_csv_matches_per_value_format(data):
         times=data.draw(arrays(float, rows, elements=CSV_VALUES)),
         states=data.draw(arrays(float, (rows, n), elements=CSV_VALUES)),
         dt=0.1,
-        diverged=data.draw(st.booleans()),
     )
-    assert trace_csv(trace) == reference_trace_csv(trace)
+    assert kernel_csv(trace_header(n), trace.times, trace.states) == reference_trace_csv(trace)
     omegas = data.draw(arrays(float, rows, elements=CSV_VALUES))
     # filled part by part: re + 1j * im would turn an infinite im into a nan re
     values = np.empty(rows, dtype=complex)
     values.real = data.draw(arrays(float, rows, elements=CSV_VALUES))
     values.imag = data.draw(arrays(float, rows, elements=CSV_VALUES))
-    assert sweep_csv(omegas, values) == reference_sweep_csv(omegas, values)
+    sweep = kernel_csv(["omega", "re", "im"], omegas, values.real, values.imag)
+    assert sweep == reference_sweep_csv(omegas, values)
+
+
+def wide_normal(rng, shape):
+    """Normal values scaled by powers of ten from 1e-300 to 1e299."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
 
 
 @pytest.mark.parametrize("diverged", [False, True])
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
-def test_trace_csv_matches_per_value_format_across_chunks(rows, n, diverged):
-    rng = np.random.default_rng(10 * rows + n)
-    states = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-300, 300, (rows, n))
-    trace = SimulationTrace(0.01 * np.arange(rows), states, dt=0.01, diverged=diverged)
-    text = trace_csv(trace)
+def test_trace_csv_matches_per_value_format_across_chunks(tmp_path, rows, n, diverged):
+    rng, path = np.random.default_rng(10 * rows + n), tmp_path / "trace.csv"
+    trace = SimulationTrace(0.01 * np.arange(rows), wide_normal(rng, (rows, n)), dt=0.01,
+                            diverged=diverged)
+    write_trace(path, Replay(trace))
+    text = path.read_text()
     assert text == reference_trace_csv(trace)
     assert len(text.splitlines()) == 1 + rows + diverged
+
+
+@pytest.mark.parametrize("rows", [1365, 1366, 2731])  # 3 * rows on either side of _CHUNK
+def test_sweep_csv_matches_per_value_format_across_chunks(tmp_path, rows):
+    rng, path = np.random.default_rng(rows), tmp_path / "sweep.csv"
+    omegas, values = np.abs(wide_normal(rng, rows)), np.empty(rows, dtype=complex)
+    values.real, values.imag = wide_normal(rng, rows), wide_normal(rng, rows)
+    write_sweep(path, omegas, values)
+    assert path.read_text() == reference_sweep_csv(omegas, values)
 
 
 def assert_same_lines(text, want):
@@ -122,13 +172,12 @@ def assert_same_lines(text, want):
 def assert_prints_as_percent(values):
     """Both CSVs print each value, and its negation, exactly as ``"%.15g" % x``."""
     values = np.asarray(values, dtype=float)
-    trace = SimulationTrace(values, -values[:, None], dt=0.1)
-    assert_same_lines(trace_csv(trace), "t,x1\n" + "".join("%.15g,%.15g\n" % (x, -x)
-                                                          for x in values.tolist()))
+    assert_same_lines(kernel_csv(trace_header(1), values, -values[:, None]), "t,x1\n" + "".join(
+        "%.15g,%.15g\n" % (x, -x) for x in values.tolist()))
     z = np.empty(values.size, dtype=complex)  # filled part by part, as -x + 1j * x mixes in nans
     z.real, z.imag = -values, values
-    assert_same_lines(sweep_csv(values, z), "omega,re,im\n" + "".join(
-        "%.15g,%.15g,%.15g\n" % (x, -x, x) for x in values.tolist()))
+    assert_same_lines(kernel_csv(["omega", "re", "im"], values, z.real, z.imag), "omega,re,im\n"
+                      + "".join("%.15g,%.15g,%.15g\n" % (x, -x, x) for x in values.tolist()))
 
 
 def neighbours(values):
@@ -201,20 +250,6 @@ def test_csv_prints_the_same_bytes_when_every_value_takes_the_fallback(monkeypat
                              [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1e-5]])
     monkeypatch.setattr(report, "_TIE_MARGIN", 0.5)
     assert_prints_as_percent(values)
-
-
-def test_trace_csv_holds_about_two_copies_of_its_text():
-    rng = np.random.default_rng(3)
-    trace = SimulationTrace(0.01 * np.arange(20 * 1024), rng.standard_normal((20 * 1024, 10)),
-                            dt=0.01)
-    tracemalloc.start()
-    try:
-        text = trace_csv(trace)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the row strings and the final text
-    assert peak < 2.5 * len(text)
 
 
 def sensitive_payload(uv, cond1, verified):
