@@ -26,7 +26,6 @@ from .robustness import (
     effective_resistance_directed,
     effective_resistance_undirected,
     nyquist_sweep,
-    r_value,
     solve_lyapunov,
 )
 from .simulate import Simulation

@@ -130,7 +130,7 @@ def verify_sensitive_pairs(g1: SignedDigraph, pairs: np.ndarray | Sequence[tuple
         # one merged block per distinct key, solved for its first pair q
         _, r, block_of = np.unique(keys[p], axis=0, return_index=True, return_inverse=True)
         q = p[r]
-        merged = cond.closure[cv[q]] & cond.closure[:, cu[q]].T  # on a path comp(v) ~> comp(u)
+        merged = cond.between(cv[q], cu[q])
         merged[np.arange(q.size), cu[q]] = True
         low = np.where(merged, np.inf, block_low).min(axis=1)  # the blocks L' keeps from L1
         member = merged[:, cond.labels]

@@ -60,6 +60,11 @@ class Condensation:
     def k(self) -> int:
         return self.closure.shape[0]
 
+    def between(self, a, b) -> np.ndarray:
+        """Mask of the components on a path from component ``a`` to ``b``, both included when
+        ``a`` reaches ``b`` and none when not; for equal-length label arrays, one row each."""
+        return self.closure[a] & self.closure[:, b].T
+
 
 def _edges(g: SignedDigraph, positive_only: bool) -> tuple[np.ndarray, np.ndarray]:
     """The kept stored edges as 0-based endpoint arrays."""

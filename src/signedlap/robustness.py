@@ -4,10 +4,14 @@ For a base graph whose Laplacian has a single zero eigenvalue and all other
 eigenvalues in the open right half plane, perturbing the pair (u, v) with
 weights ``-delta q_uv`` and ``-delta q_vu`` keeps that property for all
 ``delta`` below a critical magnitude ``delta*``.  The bound is read off the
-transfer map
+transfer map, in node coordinates on the pair's slice S of the condensation,
 
-    G(j w) = (e_u - e_v)^T Q^T (Lbar1 - j w I)^(-1) Q (q_uv e_u - q_vu e_v):
+    G(j w) = (e_u - e_v)^T (L1[S, S] - j w I)^(-1) (q_uv e_u - q_vu e_v):
 
+S is comp(u), comp(v) and the components on a path between them, either way; L1 is block
+triangular along its components, so no other one enters G (Kalman 1963).  S that holds the
+sink, the one singular block, is closed downward: L1[S, S] is then a Laplacian, and e_u - e_v
+is orthogonal to 1, so G at w = 0 is solved in L1[S, S]'s own Helmert basis.
 ``delta* = 1 / max{Re G(j w_i)}`` over the frequencies ``w_i`` where the
 curve crosses the real axis.  When the maximizing crossing sits at w = 0 the
 bound is necessary and sufficient; otherwise it is sufficient only, and
@@ -34,18 +38,15 @@ logger = logging.getLogger(__name__)
 #: a crossing's Re G at most this over ||L1||_inf is 0: 1 / Re G would put delta* past
 #: 1e12 ||L1||_inf, where the perturbed Laplacian holds L1 to eps * 1e12 = 2.2e-4 at best
 CROSSING_RE_TOL = 1e-12
-#: |Im s| / |s| under which a zero s counts as real: a double real zero (a tangency)
-#: splits under rounding by about sqrt(eps) |s|, and admitting it only lowers delta*
+#: |Re s| / |s| under which a zero s of the cascade counts as imaginary: a double zero (a
+#: tangency) splits under rounding by about sqrt(eps) |s|, and admitting it only lowers delta*
 REAL_ZERO_RTOL = 1e-6
 #: crossings whose Re G is within this of the largest attain it, omega* the least of them:
-#: each Re G errs by about eps cond(Lbar1 - j w I), a condition allowed up to 1e6 as in ZERO_TOL
+#: each Re G errs by about eps cond(L1[S, S] - j w I), a condition allowed up to 1e6 as in ZERO_TOL
 ACHIEVER_RTOL = 1e-9
 #: largest relative difference |w_ij - w_ji| / w_ij of an undirected graph's two directions:
 #: a weight written to 12 or more significant digits reads back within 5e-13 of its value
 SYMMETRY_RTOL = 1e-12
-#: a crossing at w <= this times sigma (``_crossing_frequencies``) is the w = 0 one: the
-#: zeros s of the normalized pencil err by about eps = 2.2e-16, this factor squared
-OMEGA_ZERO_FACTOR = 1e-8
 #: a Schur pivot at most this times ||L||_inf, some 500 times the Schur form's backward
 #: error eps ||Q L Q^T||, is roundoff of a zero: a sweep sample with |T_ii - j w| that small
 #: sits on an eigenvalue and is skipped, and a Lyapunov sum lambda_i + conj(lambda_j) is 0
@@ -76,33 +77,16 @@ class DeltaStarResult:
     necessary_bound: float
 
 
-def _input_vectors(Q: np.ndarray, u: int, v: int,
-                   q_uv: float, q_vu: float) -> tuple[np.ndarray, np.ndarray]:
-    n = Q.shape[1]
+def _input_vectors(n: int, u: int, v: int, q_uv: float, q_vu: float) -> np.ndarray:
+    """Rows b = q_uv e_u - q_vu e_v and c = e_u - e_v, in node coordinates."""
     if not (1 <= u <= n and 1 <= v <= n):
         raise ValueError(f"pair ({u}, {v}) out of range 1..{n}")
     if u == v:
         raise ValueError("pair endpoints must differ")
-    eu, ev = np.zeros((2, n))
-    eu[u - 1] = ev[v - 1] = 1.0
-    return Q @ (q_uv * eu - q_vu * ev), Q @ (eu - ev)
-
-
-def r_value(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
-            q_uv: float, q_vu: float, omega: float) -> complex:
-    """(e_u - e_v)^T Q^T (Lbar1 - j w I)^(-1) Q (q_uv e_u - q_vu e_v).
-
-    Evaluated through one linear solve.  At w = 0 the result is real and is
-    returned with zero imaginary part.
-    """
-    b, c = _input_vectors(Q, u, v, q_uv, q_vu)
-    try:
-        if omega == 0.0:
-            return complex(c @ np.linalg.solve(lbar1, b))
-        x = np.linalg.solve(lbar1 - 1j * omega * np.eye(lbar1.shape[0]), b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"system singular at omega={omega}") from exc
-    return complex(c @ x)
+    bc = np.zeros((2, n))
+    bc[:, u - 1] = q_uv, 1.0
+    bc[:, v - 1] = -q_vu, -1.0
+    return bc
 
 
 def _sweep_omegas(radius: float) -> np.ndarray:
@@ -120,7 +104,7 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     max |T_ii| > 0, and samples within ``SCHUR_PIVOT_RTOL * scale`` of an eigenvalue,
     ``scale`` = ||L1||_inf, are skipped with a warning.
     """
-    b, c = _input_vectors(Q, u, v, q_uv, q_vu)
+    b, c = (Q @ x for x in _input_vectors(Q.shape[1], u, v, q_uv, q_vu))
     T, Z = scipy.linalg.schur(lbar1, output="complex")
     omegas = _sweep_omegas(float(np.abs(np.diag(T)).max()))
     bt, ct = Z.conj().T @ b, Z.T @ c
@@ -144,55 +128,67 @@ def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
     return omegas, values
 
 
-def _crossing_frequencies(lbar1: np.ndarray, b: np.ndarray, c: np.ndarray,
+def _crossing_frequencies(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                           scale: float) -> np.ndarray:
-    """Ascending w > 0 with Im G(j w) = w c^T (Lbar1^2 + w^2 I)^(-1) b = 0.
+    """Ascending w > 0 with Im G(j w) = w c^T (a^2 + w^2 I)^(-1) b = 0, G = c^T (a - s I)^(-1) b.
 
-    These are sigma sqrt(s) for the real zeros s > OMEGA_ZERO_FACTOR**2 of ``(-A^2, b, c^T)``,
-    A = Lbar1 / sigma, sigma the power of two just above ``scale`` = ||L1||_inf: one QZ call on
-    the pencil ``[[-A^2, b], [c^T, 0]] - s diag(I, 0)`` (Emami-Naeini & Van Dooren 1982), the
-    same at every weight scale, with -A^2 at the magnitude of b and c.  It is regular as
-    ``c^T b = q_uv + q_vu > 0``; no pole cancels a zero s > 0 (A has no imaginary eigenvalue).
+    These are sigma Im s for the zeros s = j w / sigma of ``c^T (s I - A)^(-1) (s I + A)^(-1) b``,
+    A = a / sigma, sigma the power of two just above ``scale``: the cascade M = [[A, I], [0, -A]],
+    B = [0; b], C = [c^T, 0] has CB = 0 and CMB = c^T b = q_uv + q_vu > 0, so its 2m - 2 zeros
+    are the eigenvalues of M - B (CMB)^(-1) [c^T A^2, 0] on ker C and ker CM, one ``eig`` with
+    no infinite zero (Emami-Naeini & Van Dooren 1982).  s = 0 is left to the w = 0 solve.
     """
     sigma = math.ldexp(1.0, math.frexp(scale)[1])
-    A, m = lbar1 / sigma, lbar1.shape[0]
-    pencil = np.zeros((m + 1, m + 1))
-    pencil[:m, :m] = -A @ A
-    pencil[:m, m] = b
-    pencil[m, :m] = c
-    mass = np.diag(np.append(np.ones(m), 0.0))
-    alpha, beta = scipy.linalg.eigvals(pencil, mass, homogeneous_eigvals=True)
-    # A zero s is an eigenvalue of -A^2 after the oblique projection I - b c^T / c^T b,
-    # so |s| <= bound (doubled for rounding); QZ may return an infinite zero as alpha
-    # over a beta at rounding level, far beyond it.
-    bound = np.linalg.norm(b) * np.linalg.norm(c) / (c @ b) * np.linalg.norm(pencil[:m, :m])
-    finite = np.abs(alpha) <= 2.0 * bound * np.abs(beta)
-    zeros = alpha[finite] / beta[finite]
-    real = np.abs(zeros.imag) <= REAL_ZERO_RTOL * np.abs(zeros)
-    return sigma * np.sort(np.sqrt(zeros.real[real & (zeros.real > OMEGA_ZERO_FACTOR**2)]))
+    A, m = a / sigma, a.shape[0]
+    if m == 1:  # a two-node sink slice, projected: one pole and no finite zero
+        return np.empty(0)
+    cA = c @ A  # C^T = [c; 0] and (CM)^T = [A^T c; c] span the complement of the kernel
+    kernel = np.linalg.qr(np.column_stack([np.append(c, np.zeros(m)), np.append(cA, c)]),
+                          mode="complete")[0][:, 2:]
+    F = np.block([[A, np.eye(m)], [np.outer(b, cA @ A) / -(c @ b), -A]])
+    s = np.linalg.eigvals(kernel.T @ F @ kernel)
+    crossing = (np.abs(s.real) <= REAL_ZERO_RTOL * np.abs(s)) & (s.imag > 0)
+    return sigma * np.sort(s.imag[crossing])
 
 
 def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     """Critical magnitude for the perturbation of pair (u, v) on base graph g1.
 
-    Requires the base Laplacian to satisfy the one-zero/right-half-plane
-    spectrum condition.  G is evaluated by one solve at w = 0 and at each
-    crossing from ``_crossing_frequencies``.  A premise graph always has a
-    crossing with positive real part: the perturbed trace falls as delta
-    grows, so the condition fails at some finite delta_c, where
-    ``G(j w) = 1 / delta_c``.  Finding none raises ``NumericsError``.
+    Requires the base Laplacian to satisfy the one-zero/right-half-plane spectrum condition.
+    A premise graph always has a crossing with positive real part: the perturbed trace falls
+    as delta grows, so the condition fails at some finite delta_c, where G(j w) = 1 / delta_c.
+    Finding none raises ``NumericsError``.
     """
-    Q, L1 = helmert_basis(g1.n), laplacian(g1)
-    u, v, q_uv, q_vu = pert.u, pert.v, pert.q_uv, pert.q_vu
-    b, c = _input_vectors(Q, u, v, q_uv, q_vu)
-    scale = matrix_scale(L1)
-    if not spectrum_condition(block_spectrum(L1, condensation(g1)), scale):
+    L1 = laplacian(g1)
+    bc = _input_vectors(g1.n, pert.u, pert.v, pert.q_uv, pert.q_vu)
+    scale, cond = matrix_scale(L1), condensation(g1)
+    if not spectrum_condition(block_spectrum(L1, cond), scale):
         raise PremiseError("base Laplacian must have one zero eigenvalue and all other "
                            "eigenvalues with positive real part")
-    lbar1 = reduced_laplacian(L1, Q)
+    cu, cv = cond.labels[[pert.u - 1, pert.v - 1]]
+    comps = cond.between(cu, cv) | cond.between(cv, cu)
+    comps[[cu, cv]] = True
+    below = cond.closure[comps]
+    sink = (below.sum(axis=1) == 1).any()  # then close S downward, and L1[S, S] is a Laplacian
+    nodes = np.flatnonzero((below.any(axis=0) if sink else comps)[cond.labels])
+    ls, (bs, cs), eye = L1[np.ix_(nodes, nodes)], bc[:, nodes], np.eye(nodes.size)
+    Q = helmert_basis(nodes.size) if sink else None
+    a, b, c = (reduced_laplacian(ls, Q), Q @ bs, Q @ cs) if sink else (ls, bs, cs)
 
-    crossings = [(omega, r_value(lbar1, Q, u, v, q_uv, q_vu, omega).real)
-                 for omega in (0.0, *_crossing_frequencies(lbar1, b, c, scale).tolist())]
+    def newton(omega: float) -> tuple[complex, float]:  # G(j w) and the step to Im G(j w) = 0
+        lu = scipy.linalg.lu_factor(ls - 1j * omega * eye)
+        x = scipy.linalg.lu_solve(lu, bs)  # dG/dw = j c^T (L1[S, S] - j w I)^-2 b
+        return cs @ x, (cs @ x).imag / (cs @ scipy.linalg.lu_solve(lu, x)).real
+
+    crossings = [(0.0, float(c @ np.linalg.solve(a, b)))]
+    for omega in _crossing_frequencies(a, b, c, matrix_scale(a)).tolist():
+        # a zero s near 0 errs by about eps / |s|, as +-s pair up: Newton steps in node
+        # coordinates polish w while each moves it by under w / 2 and brings Im G closer to 0
+        g, step = newton(omega)
+        while abs(step) < omega / 2 and abs((near := newton(omega - step))[0].imag) < abs(g.imag):
+            omega, (g, step) = omega - step, near
+        crossings.append((omega, float(g.real)))
+
     re_tol, g0 = CROSSING_RE_TOL / scale, crossings[0][1]
     necessary = 1.0 / g0 if g0 > re_tol else math.inf
     positive = [(w, re) for w, re in crossings if re > re_tol]
@@ -235,7 +231,7 @@ def effective_resistance_undirected(g_plus: SignedDigraph, u: int, v: int) -> Ef
         raise PremiseError("graph is disconnected")
     Q = helmert_basis(g_plus.n)
     lbar = reduced_laplacian(laplacian(g_plus), Q)
-    _, c = _input_vectors(Q, u, v, 1.0, 1.0)
+    c = Q @ _input_vectors(g_plus.n, u, v, 1.0, 1.0)[1]
     value = float(c @ np.linalg.solve(lbar, c))
     return EffectiveResistance(value=value, method=EffectiveResistance.UNDIRECTED)
 
@@ -280,5 +276,5 @@ def effective_resistance_directed(g: SignedDigraph, u: int, v: int) -> Effective
     """2 (e_u - e_v)^T Q^T Sigma Q (e_u - e_v) with Sigma the Lyapunov solution."""
     L, Q = laplacian(g), helmert_basis(g.n)
     sigma = solve_lyapunov(reduced_laplacian(L, Q), matrix_scale(L))
-    _, c = _input_vectors(Q, u, v, 1.0, 1.0)
+    c = Q @ _input_vectors(g.n, u, v, 1.0, 1.0)[1]
     return EffectiveResistance(value=float(2.0 * c @ sigma @ c), method=EffectiveResistance.DIRECTED)

@@ -156,6 +156,22 @@ DEFECTIVE_ZERO = (
 )
 
 
+# weights over nine decades: the binding crossing sits at omega* ~ 4.22e-4, where Re G ~ 175.46
+WIDE_WEIGHTS = """8
+1 6 10440.2
+2 1 8.19644
+2 3 3416.39
+3 5 4.74123e-05
+3 7 0.00486034
+4 8 17.9778
+5 3 0.00436575
+5 6 75928.9
+6 3 0.000127354
+7 5 0.000664041
+8 1 8.3714
+"""
+
+
 def bisection_delta_star(g1: SignedDigraph, pert: EdgePerturbation, iters: int = 60) -> float:
     """Independent oracle: bisect delta on the perturbed spectrum condition.
 

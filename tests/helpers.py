@@ -24,7 +24,6 @@ from signedlap import (
     laplacian,
     matrix_scale,
     null_basis,
-    r_value,
     reach_decomposition,
     spectrum_condition,
     verify_sensitive_pairs,
@@ -32,6 +31,7 @@ from signedlap import (
 )
 from signedlap.perturb import CLASS_COND1, CLASS_COND2, SIGN_NEGATIVE
 from signedlap.report import sig15
+from signedlap.robustness import _input_vectors
 from signedlap.simulate import OVERFLOW_LIMIT, Simulation
 
 
@@ -177,6 +177,23 @@ def permutation_matrix(decomp: ReachDecomposition) -> np.ndarray:
     for pos, node in enumerate(decomp.order):
         P[pos, node - 1] = 1.0
     return P
+
+
+def r_value(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
+            q_uv: float, q_vu: float, omega: float) -> complex:
+    """(e_u - e_v)^T Q^T (Lbar1 - j w I)^(-1) Q (q_uv e_u - q_vu e_v), on the whole Lbar1.
+
+    Evaluated through one linear solve.  At w = 0 the result is real and is
+    returned with zero imaginary part.
+    """
+    b, c = (Q @ x for x in _input_vectors(Q.shape[1], u, v, q_uv, q_vu))
+    try:
+        if omega == 0.0:
+            return complex(c @ np.linalg.solve(lbar1, b))
+        x = np.linalg.solve(lbar1 - 1j * omega * np.eye(lbar1.shape[0]), b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"system singular at omega={omega}") from exc
+    return complex(c @ x)
 
 
 def rank_one_spectrum_check(lbar1: np.ndarray, lbar: np.ndarray, Q: np.ndarray,

@@ -21,7 +21,6 @@ from signedlap import (
     laplacian,
     matrix_scale,
     null_basis,
-    r_value,
     reach_decomposition,
     reduced_laplacian,
     solve_lyapunov,
@@ -43,6 +42,7 @@ from helpers import (
     first_order_zero_eigenvalues,
     householder_basis,
     match_predictions,
+    r_value,
     rank_one_spectrum_check,
     theta_matrix,
     zero_group,

@@ -16,7 +16,7 @@ from signedlap.cli import main
 from signedlap.simulate import _BLOCK, Simulation, default_dt, default_horizon
 from signedlap.spectral import ZERO_TOL
 
-from conftest import DEFECTIVE_ZERO, bisection_delta_star
+from conftest import DEFECTIVE_ZERO, WIDE_WEIGHTS, bisection_delta_star
 from helpers import (consensus_reached, reference_analyze_json, reference_rk4,
                      reference_sensitive_json, reference_trace_csv, spread)
 
@@ -649,26 +649,6 @@ def test_simulate_horizon_ignores_a_defective_zero(tmp_path, capsys):
     assert verdict["consensus"] is False
 
 
-# weights over nine decades: the binding crossing sits at omega* ~ 4.22e-4, where Re G ~ 175.46
-WIDE_WEIGHTS = """8
-1 6 10440.2
-2 1 8.19644
-2 3 3416.39
-3 5 4.74123e-05
-3 7 0.00486034
-4 8 17.9778
-5 3 0.00436575
-5 6 75928.9
-6 3 0.000127354
-7 5 0.000664041
-8 1 8.3714
-"""
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "delta_star finds crossings as zeros of a system in Lbar1^2, whose absolute error "
-    "eps * ||Lbar1||^2 swallows the crossing at omega* ~ 4.22e-4: it reports the omega = 0 "
-    "bound 0.005967, 4.7 % above the exact 0.0056991, as NecessaryAndSufficient"))
 def test_delta_star_wide_weights_match_the_bisection_oracle(capsys, tmp_path):
     path = tmp_path / "wide8.txt"
     path.write_text(WIDE_WEIGHTS)
@@ -678,6 +658,35 @@ def test_delta_star_wide_weights_match_the_bisection_oracle(capsys, tmp_path):
     oracle = bisection_delta_star(parse_edge_list(WIDE_WEIGHTS), EdgePerturbation(3, 5, 1.0, 1.0))
     assert payload["delta_star"] == pytest.approx(oracle, rel=1e-6)
     assert payload["regime"] == "SufficientOnly"
+    # a 50-digit mpmath reference of the crossing and of delta*
+    assert payload["delta_star"] == pytest.approx(0.00569914719126961, rel=1e-8)
+    assert payload["omega_star"] == pytest.approx(4.21939987166767e-4, rel=1e-8)
+
+
+WIDE_PATH = "3\n1 2 1e5\n2 1 1e5\n2 3 1e-5\n3 2 1e-5\n"
+WIDE_PATH_REASON = (
+    "ROADMAP item 3: the spectrum condition counts the wide path's eigenvalue 1.5e-5 as a second "
+    "zero, as its threshold ZERO_TOL * ||L||_inf is 2e-4")
+
+
+@pytest.mark.xfail(strict=True, reason=WIDE_PATH_REASON)
+def test_analyze_counts_one_zero_on_a_wide_path(capsys, tmp_path):
+    path = tmp_path / "wide_path.txt"
+    path.write_text(WIDE_PATH)
+    code, out, _ = run(capsys, "analyze", "--graph", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["zero_multiplicity"], payload["spectrum_condition"]) == (1, True)
+
+
+@pytest.mark.xfail(strict=True, reason=WIDE_PATH_REASON)
+def test_delta_star_on_a_wide_path_is_the_inverse_resistance(capsys, tmp_path):
+    # undirected: delta* R_uv = 1, and R_13 = 1 / 1e5 + 1 / 1e-5 along the path
+    path = tmp_path / "wide_path.txt"
+    path.write_text(WIDE_PATH)
+    code, out, _ = run(capsys, "delta-star", "--graph", str(path), "--pair", "1", "3")
+    assert code == 0
+    assert json.loads(out)["delta_star"] == pytest.approx(1.0 / (1e5 + 1e-5), rel=1e-6)
 
 
 @pytest.mark.parametrize("weight", ["1", "1e-10"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from signedlap import NullBasis, NumericsError, ReachDecomposition, nyquist_sweep, r_value, report
+from signedlap import NullBasis, NumericsError, ReachDecomposition, nyquist_sweep, report
 from signedlap.report import (
     _CsvWriter,
     delta_star_json,
@@ -25,6 +25,7 @@ from signedlap.simulate import _BLOCK, Simulation
 from helpers import (
     SimulationTrace,
     analyze_json,
+    r_value,
     reference_rk4,
     reference_sweep_csv,
     reference_trace_csv,

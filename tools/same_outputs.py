@@ -27,7 +27,9 @@ columns) those files hold, so a claim that the CSV bytes did not change
 states its coverage, and the peak RSS (``ru_maxrss``) of each side's process,
 so a memory change can be checked without the benchmark.  Where both sides
 print JSON and stdout differs, it prints the largest relative difference
-over the float leaves and names every other leaf that differs (a label, a
+over the float leaves, each difference taken relative to the largest magnitude
+among the float leaves that share its path (as all of ``/crossings/*/re``) in
+that call, and names every other leaf that differs (a label, a
 boolean, a count, a list length), per call and, at the end, per leaf over
 all calls.
 """
@@ -143,23 +145,31 @@ def _leaves(tree, path: str = ""):
 
 
 def _json_diff(a: str, b: str) -> tuple[dict[str, float], set[str]] | None:
-    """Two JSON texts compared leaf by leaf: the largest relative difference per float leaf,
-    and the other leaves that differ or that one side lacks, by path with list indices as
-    ``*``; None when either text is not JSON."""
+    """Two JSON texts compared leaf by leaf: the largest difference per float leaf, relative to
+    the largest magnitude among the float leaves of its path on either side (so a roundoff
+    of 0 next to larger values reads at their scale), and the other leaves that differ or
+    that one side lacks, by path with list indices as ``*``; None when either text is not
+    JSON."""
     try:
         x, y = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
     except ValueError:
         return None
+    name = {path: "/".join("*" if part.isdigit() else part for part in path.split("/"))
+            for path in x.keys() | y.keys()}
+    scale: dict[str, float] = {}
+    for side in (x, y):
+        for path, value in side.items():
+            if type(value) is float:
+                scale[name[path]] = max(scale.get(name[path], 0.0), abs(value))
     rel: dict[str, float] = {}
     other: set[str] = set()
     for path in x.keys() | y.keys():
-        name = "/".join("*" if part.isdigit() else part for part in path.split("/"))
         p, q = x.get(path), y.get(path)
         if type(p) is float and type(q) is float:
-            diff = abs(p - q) / max(abs(p), abs(q)) if p != q else 0.0
-            rel[name] = max(rel.get(name, 0.0), diff)
+            diff = abs(p - q) / scale[name[path]] if p != q else 0.0
+            rel[name[path]] = max(rel.get(name[path], 0.0), diff)
         elif p != q or (path in x) != (path in y):
-            other.add(name)
+            other.add(name[path])
     return rel, other
 
 
