@@ -36,8 +36,7 @@ from .robustness import (
     nyquist_sweep,
 )
 from .simulate import Simulation, default_dt, default_horizon
-from .spectral import (block_spectrum, helmert_basis, null_basis, reduced_laplacian,
-                       spectrum_condition, zero_multiplicity)
+from .spectral import block_spectrum, null_basis, spectrum_condition, zero_multiplicity
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -72,14 +71,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_delta_star(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    u, v = args.pair
-    pert = EdgePerturbation(u=u, v=v, q_uv=args.gains[0], q_vu=args.gains[1])
+    pert = EdgePerturbation(*args.pair, q_uv=args.gains[0], q_vu=args.gains[1])
     result = delta_star(g, pert)
     if args.sweep_out is not None:
-        Q, L1 = helmert_basis(g.n), laplacian(g)
-        omegas, values = nyquist_sweep(reduced_laplacian(L1, Q), Q, u, v, pert.q_uv, pert.q_vu,
-                                       matrix_scale(L1))
-        report.write_sweep(args.sweep_out, omegas, values)
+        report.write_sweep(args.sweep_out, *nyquist_sweep(g, pert))
     _emit(report.dumps(report.delta_star_json(result)), args.out)
     return EXIT_OK
 

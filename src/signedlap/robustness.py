@@ -57,7 +57,7 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: sweep frequencies back-substituted together, bounding the workspace
 SWEEP_CHUNK = 256
 #: the sweep samples w = 0 and this many log-spaced frequencies between
-#: SWEEP_LO and SWEEP_HI times the spectral radius of Lbar1
+#: SWEEP_LO and SWEEP_HI times the spectral radius of L1
 SWEEP_POINTS = 2000
 SWEEP_LO = 1e-6
 SWEEP_HI = 1e4
@@ -95,20 +95,18 @@ def _sweep_omegas(radius: float) -> np.ndarray:
                                               math.log10(SWEEP_HI * radius), SWEEP_POINTS)])
 
 
-def nyquist_sweep(lbar1: np.ndarray, Q: np.ndarray, u: int, v: int,
-                  q_uv: float, q_vu: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def nyquist_sweep(g1: SignedDigraph, pert: EdgePerturbation) -> tuple[np.ndarray, np.ndarray]:
     """G(j w) over ``_sweep_omegas`` as arrays (w, G), ending with the w -> inf limit 0.
 
-    Back-substitutes ``T - j w I`` of one complex Schur form ``Z T Z^H`` of Lbar1 for a
-    chunk of frequencies at once (Laub 1981); the grid scales with the spectral radius
-    max |T_ii| > 0, and samples within ``SCHUR_PIVOT_RTOL * scale`` of an eigenvalue,
-    ``scale`` = ||L1||_inf, are skipped with a warning.
+    G is ``delta_star``'s, on the pair's slice.  Back-substitutes ``T - j w I`` of one complex
+    Schur form ``Z T Z^H`` of the slice matrix for a chunk of frequencies at once (Laub 1981);
+    the grid scales with the spectral radius of L1, and samples within
+    ``SCHUR_PIVOT_RTOL * ||L1||_inf`` of an eigenvalue are skipped with a warning.
     """
-    b, c = (Q @ x for x in _input_vectors(Q.shape[1], u, v, q_uv, q_vu))
-    T, Z = scipy.linalg.schur(lbar1, output="complex")
-    omegas = _sweep_omegas(float(np.abs(np.diag(T)).max()))
+    _, (a, b, c), scale, radius = _pair_slice(g1, pert)
+    omegas, tol = _sweep_omegas(radius), SCHUR_PIVOT_RTOL * scale
+    T, Z = scipy.linalg.schur(a, output="complex")
     bt, ct = Z.conj().T @ b, Z.T @ c
-    tol = SCHUR_PIVOT_RTOL * scale
     kept, parts = [], []  # per chunk: the frequencies not skipped, and G there
     for start in range(0, omegas.size, SWEEP_CHUNK):
         chunk = omegas[start:start + SWEEP_CHUNK]
@@ -151,18 +149,13 @@ def _crossing_frequencies(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return sigma * np.sort(s.imag[crossing])
 
 
-def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
-    """Critical magnitude for the perturbation of pair (u, v) on base graph g1.
-
-    Requires the base Laplacian to satisfy the one-zero/right-half-plane spectrum condition.
-    A premise graph always has a crossing with positive real part: the perturbed trace falls
-    as delta grows, so the condition fails at some finite delta_c, where G(j w) = 1 / delta_c.
-    Finding none raises ``NumericsError``.
-    """
+def _pair_slice(g1: SignedDigraph, pert: EdgePerturbation) -> tuple:
+    """Once the premise holds: (L1[S, S], b, c) on the pair's slice S, the (a, b, c) G is solved
+    in (those, in S's Helmert basis if S holds the sink), ||L1||_inf and max |lambda| of L1."""
     L1 = laplacian(g1)
     bc = _input_vectors(g1.n, pert.u, pert.v, pert.q_uv, pert.q_vu)
     scale, cond = matrix_scale(L1), condensation(g1)
-    if not spectrum_condition(block_spectrum(L1, cond), scale):
+    if not spectrum_condition(values := block_spectrum(L1, cond), scale):
         raise PremiseError("base Laplacian must have one zero eigenvalue and all other "
                            "eigenvalues with positive real part")
     cu, cv = cond.labels[[pert.u - 1, pert.v - 1]]
@@ -171,12 +164,24 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     below = cond.closure[comps]
     sink = (below.sum(axis=1) == 1).any()  # then close S downward, and L1[S, S] is a Laplacian
     nodes = np.flatnonzero((below.any(axis=0) if sink else comps)[cond.labels])
-    ls, (bs, cs), eye = L1[np.ix_(nodes, nodes)], bc[:, nodes], np.eye(nodes.size)
+    ls, (bs, cs) = L1[np.ix_(nodes, nodes)], bc[:, nodes]
     Q = helmert_basis(nodes.size) if sink else None
     a, b, c = (reduced_laplacian(ls, Q), Q @ bs, Q @ cs) if sink else (ls, bs, cs)
+    return (ls, bs, cs), (a, b, c), scale, float(np.abs(values).max())
+
+
+def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
+    """Critical magnitude for the perturbation of pair (u, v) on base graph g1.
+
+    Requires the base Laplacian to satisfy the one-zero/right-half-plane spectrum condition.
+    A premise graph always has a crossing with positive real part: the perturbed trace falls
+    as delta grows, so the condition fails at some finite delta_c, where G(j w) = 1 / delta_c.
+    Finding none raises ``NumericsError``.
+    """
+    (ls, bs, cs), (a, b, c), scale, _ = _pair_slice(g1, pert)
 
     def newton(omega: float) -> tuple[complex, float]:  # G(j w) and the step to Im G(j w) = 0
-        lu = scipy.linalg.lu_factor(ls - 1j * omega * eye)
+        lu = scipy.linalg.lu_factor(ls - 1j * omega * np.eye(len(ls)))
         x = scipy.linalg.lu_solve(lu, bs)  # dG/dw = j c^T (L1[S, S] - j w I)^-2 b
         return cs @ x, (cs @ x).imag / (cs @ scipy.linalg.lu_solve(lu, x)).real
 

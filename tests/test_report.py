@@ -19,6 +19,7 @@ from signedlap.report import (
     write_sweep,
     write_trace,
 )
+import signedlap.robustness as robustness
 from signedlap.robustness import DeltaStarResult
 from signedlap.simulate import _BLOCK, Simulation
 
@@ -320,12 +321,16 @@ def test_r_value_singular_system():
         r_value(rotation, Q, 1, 2, 1.0, 0.0, 1.0)
 
 
-def test_nyquist_sweep_skips_singular_points(caplog):
+def test_nyquist_sweep_skips_singular_points(caplog, monkeypatch):
     singular = np.diag([0.0, 1.0])  # its zero pivot vanishes at the w = 0 sample
     Q = np.array([[1 / np.sqrt(2), -1 / np.sqrt(2), 0.0],
                   [1 / np.sqrt(6), 1 / np.sqrt(6), -2 / np.sqrt(6)]])
+    b, c = robustness._input_vectors(3, 1, 2, 1.0, 0.0) @ Q.T
+    # the slice, ||L1||_inf and the spectral radius, as the helper would return them
+    monkeypatch.setattr(robustness, "_pair_slice",
+                        lambda g1, pert: (None, (singular, b, c), 1.0, 1.0))
     with caplog.at_level("WARNING"):
-        omegas, values = nyquist_sweep(singular, Q, 1, 2, 1.0, 0.0, 1.0)
+        omegas, values = nyquist_sweep(None, None)
     assert len(omegas) == len(values) == 2001  # w = 0 dropped from 2001 samples, asymptote appended
     assert 0.0 not in omegas and omegas[-1] == math.inf
     assert "singular" in caplog.text

@@ -12,6 +12,8 @@ from signedlap import (
     NumericsError,
     PremiseError,
     SignedDigraph,
+    block_spectrum,
+    condensation,
     delta_star,
     effective_resistance_directed,
     effective_resistance_undirected,
@@ -82,8 +84,7 @@ def test_r_value_rejects_equal_nodes():
 
 
 def test_nyquist_sweep_ends_with_asymptote(spoked8):
-    lbar, Q = lbar_of(spoked8)
-    omegas, values = nyquist_sweep(lbar, Q, 3, 8, 1.0, 0.0, matrix_scale(laplacian(spoked8)))
+    omegas, values = nyquist_sweep(spoked8, EdgePerturbation(3, 8, q_uv=1.0, q_vu=0.0))
     assert math.isinf(omegas[-1])
     assert values[-1] == 0
     assert omegas[0] == 0.0
@@ -496,15 +497,36 @@ def test_delta_star_metamorphic(case, alpha, random):
 def test_nyquist_sweep_matches_r_value(case):
     g, pert = case
     lbar, Q = lbar_of(g)
-    omegas, values = nyquist_sweep(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu,
-                                   matrix_scale(laplacian(g)))
-    radius = np.abs(np.diag(scipy.linalg.schur(lbar, output="complex")[0])).max()
+    omegas, values = nyquist_sweep(g, pert)
+    radius = np.abs(block_spectrum(laplacian(g), condensation(g))).max()
     assert omegas[:-1].tolist() == list(_sweep_omegas(radius))
     assert values[0].imag == 0.0
     got = values[:-1]
     want = np.array([r_value(lbar, Q, pert.u, pert.v, pert.q_uv, pert.q_vu, w)
                      for w in omegas[:-1].tolist()])
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+#: a sink 2-cycle {1, 2}, node 3 pointing into it and node 4 into 3 and 2: the pair (1, 2)
+#: slices out the sink alone, projected to order 1; the pair (4, 3) the nonsingular {3, 4}
+SLICED = "4\n1 2 1.5\n2 1 0.5\n3 1 1\n4 3 2\n4 2 0.7\n"
+#: a sink {1}, a 2-cycle {2, 3} above it and a 2-cycle {4, 5} beside that: the pair (2, 1)
+#: slices out {1, 2, 3}, projected to order 2
+SLICED_BESIDE = "5\n2 1 1\n2 3 2\n3 2 1\n4 5 1\n5 4 3\n5 1 0.4\n"
+
+
+@pytest.mark.parametrize("text, pair, order", [(SLICED, (1, 2), 1), (SLICED, (4, 3), 2),
+                                               (SLICED_BESIDE, (2, 1), 2)])
+def test_nyquist_sweep_works_on_the_pair_slice(text, pair, order, monkeypatch):
+    g, pert = parse_edge_list(text), EdgePerturbation(*pair, q_uv=1.0, q_vu=0.5)
+    orders, schur = [], scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur", lambda a, **kw: orders.append(a.shape[0])
+                        or schur(a, **kw))
+    omegas, values = nyquist_sweep(g, pert)
+    assert orders == [order] and order < g.n - 1
+    lbar, Q = lbar_of(g)
+    want = np.array([r_value(lbar, Q, *pair, 1.0, 0.5, w) for w in omegas[:-1].tolist()])
+    assert np.abs(values[:-1] - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_delta_star_without_positive_crossing_raises(spoked8, monkeypatch):

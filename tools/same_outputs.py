@@ -31,7 +31,12 @@ over the float leaves, each difference taken relative to the largest magnitude
 among the float leaves that share its path (as all of ``/crossings/*/re``) in
 that call, and names every other leaf that differs (a label, a
 boolean, a count, a list length), per call and, at the end, per leaf over
-all calls.
+all calls.  For each CSV file that differs it prints the row counts of both
+sides, how many numbers moved in their common rows and, per column, the
+largest move relative to the largest finite magnitude of that column on
+either side; and, at the end, the same over all such files.  The output
+files stay on disk until both sides are done, so no side holds them all in
+memory.
 """
 
 from __future__ import annotations
@@ -42,12 +47,15 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import resource
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -97,7 +105,8 @@ def run_side(src: str, seeds: list[int], workdir: str) -> tuple[list[tuple], flo
 
     The outcome holds the exit code (or the exception that escaped
     ``cli.main``), stdout and stderr in full, and the digest of
-    each output file, or None for a file the call did not write.  Numbers
+    each output file, or None for a file the call did not write; every
+    output file stays in ``workdir`` under its own name.  Numbers
     holds the count of CSV numbers in each output file (None for JSON).
     """
     sys.path[:0] = [src, str(BENCH)]
@@ -129,7 +138,6 @@ def run_side(src: str, seeds: list[int], workdir: str) -> tuple[list[tuple], flo
                     raise RuntimeError(f"{' '.join(argv)} did not write a diverged trace")
                 files.append(None if text is None else _digest(text))
                 numbers.append(_csv_numbers(text) if text and path.endswith(".csv") else None)
-                written.unlink(missing_ok=True)
         results.append((argv, (code, out.getvalue(), err.getvalue(), files), numbers))
     return results, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
@@ -173,35 +181,47 @@ def _json_diff(a: str, b: str) -> tuple[dict[str, float], set[str]] | None:
     return rel, other
 
 
+def _csv_diff(a: Path, b: Path) -> tuple[int, int, int, dict[str, float]] | None:
+    """Two CSV files of numbers compared value by value: the row counts of both, how many
+    numbers differ in their common rows, and per column the largest difference relative to
+    the largest finite magnitude of that column on either side (so the ``inf`` of the last
+    sweep row does not hide the moves of the others); None when the headers differ."""
+    headers = []
+    for path in (a, b):
+        with path.open(encoding="utf-8") as fh:
+            headers.append(fh.readline())
+    header = headers[0]
+    if headers[1] != header:
+        return None
+    x, y = (np.loadtxt(p, delimiter=",", skiprows=1, comments="#", ndmin=2) for p in (a, b))
+    rows = min(len(x), len(y))
+    xs, ys = x[:rows], y[:rows]
+    moved = (xs != ys) & ~(np.isnan(xs) & np.isnan(ys))
+    largest = {}
+    for k, name in enumerate(header.strip().split(",")):
+        column = np.abs(np.concatenate([x[:, k], y[:, k]]))
+        scale = column[np.isfinite(column)].max(initial=0.0)
+        diff = np.abs(xs[moved[:, k], k] - ys[moved[:, k], k]).max(initial=0.0)
+        largest[name] = diff / scale if scale else math.inf if diff else 0.0
+    return len(x), len(y), int(moved.sum()), largest
+
+
 def _seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_src", help="src directory of the parent tree")
-    parser.add_argument("change_src", help="src directory of the changed tree")
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-10"),
-                        help="benchmark seeds, N or A-B (default 1-10)")
-    args = parser.parse_args()
-    # one BLAS thread, so that each side computes every float the same way on every run
-    os.environ.update({k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                        "MKL_NUM_THREADS")})
-    # a worker makes one side's calls and exits, so each side imports its package afresh
-    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir, \
-            multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
-        sides = ((args.parent_src, parent_dir), (args.change_src, change_dir))
-        (parent, parent_rss), (change, change_rss) = pool.starmap(
-            run_side, [(str(Path(src).resolve()), args.seeds, workdir) for src, workdir in sides],
-            chunksize=1)
-
+def _compare(parent: list[tuple], change: list[tuple], parent_dir: Path, change_dir: Path,
+             parent_rss: float, change_rss: float) -> int:
+    """Print how the two sides' calls differ, reading differing CSV files from each side's
+    work directory; 1 if any call differs, else 0."""
     if [argv for argv, *_ in parent] != [argv for argv, *_ in change]:
         print("error: the two sides made different calls", file=sys.stderr)
         return 1
     fields = ("exit code", "stdout", "stderr", "output files")
     differ = {field: 0 for field in fields}
-    bad = csv_files = csv_numbers = 0
+    bad = csv_files = csv_numbers = csv_differ = csv_moved = 0
+    csv_largest: dict[str, float] = {}  # per CSV column, over the files that differ
     largest: dict[str, float] = {}  # per float leaf, over the calls whose stdout differs
     labels: dict[str, int] = {}  # per other leaf, the calls where it differs
     for (argv, a, numbers), (_, b, _) in zip(parent, change):
@@ -225,14 +245,32 @@ def main() -> int:
                     largest[name] = max(largest.get(name, 0.0), value)
                 for name in other:
                     labels[name] = labels.get(name, 0) + 1
-        for count, x, y in zip(numbers, a[3], b[3]):  # CSV files that both sides wrote
-            if count is not None and None not in (x, y):
-                csv_files, csv_numbers = csv_files + 1, csv_numbers + count
+        paths = [path for flag, path in zip(argv, argv[1:]) if flag in OUT_FLAGS]
+        for path, count, x, y in zip(paths, numbers, a[3], b[3]):
+            if count is None or None in (x, y):  # not a CSV file that both sides wrote
+                continue
+            csv_files, csv_numbers = csv_files + 1, csv_numbers + count
+            moved = _csv_diff(parent_dir / path, change_dir / path) if x != y else None
+            if x != y and moved is None:
+                print(f"  {path}: the headers differ")
+            if moved is None:
+                continue
+            rows_a, rows_b, k, rel = moved
+            print(f"  {path}: {rows_a} rows on the parent, {rows_b} on the change, {k} numbers "
+                  "moved; largest relative move "
+                  + ", ".join(f"{name} {value:.2g}" for name, value in rel.items()))
+            csv_differ, csv_moved = csv_differ + 1, csv_moved + k
+            for name, value in rel.items():
+                csv_largest[name] = max(csv_largest.get(name, 0.0), value)
     nonzero = sum(code != 0 for _, (code, *_rest), _ in change)
     print(f"{len(change)} calls ({nonzero} with a nonzero exit code on the change), "
           f"{bad} differ: " + ", ".join(f"{field} {k}" for field, k in differ.items()))
     print(f"{csv_files} CSV files written by both sides compared byte for byte, "
           f"{csv_numbers} CSV numbers (rows times columns) in them")
+    if csv_differ:
+        print(f"{csv_differ} CSV files differ, {csv_moved} numbers moved in their common rows; "
+              "largest relative move per column: "
+              + ", ".join(f"{name} {value:.2g}" for name, value in csv_largest.items()))
     print(f"peak RSS (ru_maxrss of each side's process): parent {parent_rss:.1f} MiB, "
           f"change {change_rss:.1f} MiB")
     if largest or labels:
@@ -242,6 +280,27 @@ def main() -> int:
               + (", ".join(f"{name} in {k} calls" for name, k in sorted(labels.items()))
                  or "none"))
     return 1 if bad else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", help="src directory of the parent tree")
+    parser.add_argument("change_src", help="src directory of the changed tree")
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-10"),
+                        help="benchmark seeds, N or A-B (default 1-10)")
+    args = parser.parse_args()
+    # one BLAS thread, so that each side computes every float the same way on every run
+    os.environ.update({k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")})
+    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
+        # a worker makes one side's calls and exits, so each side imports its package afresh
+        with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
+            sides = ((args.parent_src, parent_dir), (args.change_src, change_dir))
+            (parent, parent_rss), (change, change_rss) = pool.starmap(
+                run_side, [(str(Path(src).resolve()), args.seeds, workdir)
+                           for src, workdir in sides], chunksize=1)
+        return _compare(parent, change, Path(parent_dir), Path(change_dir),
+                        parent_rss, change_rss)
 
 
 if __name__ == "__main__":
