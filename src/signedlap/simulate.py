@@ -20,7 +20,8 @@ MAX_TRACE_BYTES = 2**30
 #: default step over 1 / ||L||_inf: |dt lambda| <= 0.01, ten times inside the stability guard
 DT_FACTOR = 0.01
 
-#: rows stepped into the reused buffer between divergence checks
+#: rows stepped into the reused buffer between divergence checks; also bounds the stacked
+#: powers of the one-step matrix at _BLOCK * n doubles (the stride b divides it)
 _BLOCK = 1024
 
 
@@ -49,11 +50,16 @@ class Simulation:
 
     Iterating steps the run into one buffer of ``_BLOCK`` + 1 rows and yields, per block,
     the index of its first row and the rows, views of that buffer that the next block
-    overwrites; row 0, x0, leads the first block.  A state that is non-finite or beyond
-    ``OVERFLOW_LIMIT`` ends the run before its row and sets ``diverged``.  On the way the
-    run keeps the spread (max minus min) of its first and last row and the largest spread
-    of its final 5 % of rows, which ``consensus`` judges once the iteration has ended.
-    Memory is O(n^2 + _BLOCK * n), whatever the step count.
+    overwrites; row 0, x0, leads the first block.  Each product with the stacked powers
+    [S; S^2; ...; S^b] of the one-step matrix S fills the next b rows from the row before
+    them, b the largest power of two with b n <= ``_BLOCK``; past n = 512, b = 1 and each
+    product is one step.  The powers round differently than b single steps, so a state may
+    differ from the per-step loop's in its last digits.  A state that is non-finite or
+    beyond ``OVERFLOW_LIMIT`` ends the run before its row and sets ``diverged``; one max and
+    one min test a whole block, and only a block that fails is searched row by row.  On the
+    way the run keeps the spread (max minus min) of its first and last row and the largest
+    spread of its final 5 % of rows, which ``consensus`` judges once the iteration has
+    ended.  Memory is O(n^2 + _BLOCK * n), whatever the step count.
     """
 
     def __init__(self, L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> None:
@@ -79,37 +85,50 @@ class Simulation:
             )
         hL = dt * L
         self.n, self.dt, self.steps = n, dt, int(round(horizon / dt))
-        self._step = np.eye(n) - hL + hL @ hL / 2.0 - hL @ hL @ hL / 6.0 + hL @ hL @ hL @ hL / 24.0
+        step = np.eye(n) - hL + hL @ hL / 2.0 - hL @ hL @ hL / 6.0 + hL @ hL @ hL @ hL / 24.0
+        # b, the largest power of two with b n <= _BLOCK (1 past n = 512), rows per product;
+        # it stops at _BLOCK, so an empty L cannot loop
+        b = 1
+        while 2 * b * n <= _BLOCK and b < _BLOCK:
+            b *= 2
+        # [S; S^2; ...; S^b], each power S times the one before, as the per-step loop applies S
+        self._stride, self._powers = b, np.empty((b * n, n))
+        self._powers[:n] = step
+        for k in range(1, b):
+            np.matmul(step, self._powers[(k - 1) * n:k * n], out=self._powers[k * n:(k + 1) * n])
         self._x0 = x0
         self.diverged = False
         self.initial_spread = self.final_spread = self._window_spread = np.nan
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        buf = np.empty((_BLOCK + 1, self.n))
+        n, b = self.n, self._stride
+        buf = np.empty((_BLOCK + 1, n))
         buf[0] = self._x0
-        rows = list(buf)  # views of the buffer's rows, made once
-        advance = self._step.dot  # the dgemv of ``step @ x``, without matmul's dispatch
+        # each stride steps from its first row into the flat view of the b rows after it
+        sources, targets = list(buf[:_BLOCK:b]), list(buf[1:].reshape(-1, b * n))
+        advance = self._powers.dot  # the dgemv of ``powers @ x``, without matmul's dispatch
         # the first row of the final 5 %, row 1 at the earliest
         window = self.steps + 1 - max(1, int(np.ceil(0.05 * (self.steps + 1))))
         self.diverged, self._window_spread = False, -np.inf
         for start in range(1, self.steps + 1, _BLOCK):
             m = min(_BLOCK, self.steps + 1 - start)  # rows start .. start + m - 1 go to buf[1:]
-            # rows past a bad one are stepped to the block's end and dropped
+            # rows past the m kept ones, or past a bad one, are stepped and dropped
             with np.errstate(over="ignore", invalid="ignore"):
-                for prev, cur in zip(rows, rows[1:m + 1]):
-                    advance(prev, cur)
-                hi, lo = buf[:m + 1].max(axis=1), buf[:m + 1].min(axis=1)
-                good = np.maximum(hi[1:], -lo[1:]) <= OVERFLOW_LIMIT  # False for nan
-            if not good.all():
-                # the trace ends before the first bad row
-                m, self.diverged = int(good.argmin()), True
-            spreads = hi[:m + 1] - lo[:m + 1]
+                for source, target in zip(sources, targets[:-(-m // b)]):
+                    advance(source, target)
+                block = buf[1:m + 1]
+                if not (block.max() <= OVERFLOW_LIMIT and -block.min() <= OVERFLOW_LIMIT):
+                    # False for nan: find the first bad row, where the trace ends
+                    good = np.maximum(block.max(axis=1), -block.min(axis=1)) <= OVERFLOW_LIMIT
+                    m, self.diverged = int(good.argmin()), True
             if start == 1:
-                self.initial_spread = spreads[0]
-            self.final_spread = spreads[m]
-            if start + m > window:
-                final = spreads[max(window - start + 1, 1):].max()
-                self._window_spread = max(self._window_spread, final)
+                self.initial_spread = buf[0].max() - buf[0].min()
+            self.final_spread = buf[m].max() - buf[m].min()
+            first = max(window - start + 1, 1)  # the window's first row in buf
+            if first <= m:
+                final = buf[first:m + 1]
+                self._window_spread = max(self._window_spread,
+                                          (final.max(axis=1) - final.min(axis=1)).max())
             lead = int(start > 1)  # after the first block, buf[0] is the last row yielded
             if m >= lead:
                 yield start - 1 + lead, buf[lead:m + 1]

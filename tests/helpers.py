@@ -1,7 +1,7 @@
 """Test-only constructions and checks: alternative bases, block permutations, matchings,
 the paper's first-order Theta matrix and one-pair classes, one-node reachable sets, and
-the per-step simulation, per-value CSVs, per-object JSON, per-reach dense null basis and
-row-by-row Helmert basis that the fast paths must reproduce."""
+the per-step simulation (also in long double), per-value CSVs, per-object JSON, per-reach
+dense null basis and row-by-row Helmert basis that the fast paths must reproduce."""
 
 from __future__ import annotations
 
@@ -279,6 +279,66 @@ def reference_rk4(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> S
     states = states[: last + 1]
     times = dt * np.arange(last + 1)
     return SimulationTrace(times=times, states=states, dt=dt, diverged=diverged)
+
+
+def reference_rk4_longdouble(L: np.ndarray, x0: np.ndarray, dt: float,
+                             horizon: float) -> SimulationTrace:
+    """``reference_rk4`` in long double: the one-step matrix built from L in ``np.longdouble``
+    and every step taken in it; the states stay long double."""
+    x = np.asarray(x0, dtype=np.longdouble)
+    hL = np.longdouble(dt) * np.asarray(L, dtype=np.longdouble)
+    hL2 = hL @ hL
+    step = np.eye(len(x), dtype=np.longdouble) - hL + hL2 / 2 - hL2 @ hL / 6 + hL2 @ hL2 / 24
+    states, diverged = [x], False
+    for _ in range(int(round(horizon / dt))):
+        x = step @ x
+        if not np.all(np.isfinite(x)) or np.abs(x).max() > OVERFLOW_LIMIT:
+            diverged = True
+            break
+        states.append(x)
+    return SimulationTrace(times=dt * np.arange(len(states)), states=np.array(states), dt=dt,
+                           diverged=diverged)
+
+
+#: largest move of a state from ``reference_rk4``'s, relative to the largest |state| that the
+#: reference has reached by its row: ``Simulation`` steps b rows per product with the powers
+#: S, S^2, ..., S^b, which round differently than b single steps (4.9e-13 at worst over 300
+#: draws with n <= 40 and up to 2 500 steps)
+STEP_RTOL = 1e-11
+
+
+def trace_error(states: np.ndarray, ref: np.ndarray) -> float:
+    """The largest |states - ref| of a row over the largest |ref| up to that row, over all rows."""
+    running = np.maximum.accumulate(np.abs(ref).max(axis=1))
+    moved = np.abs(states - ref).max(axis=1)
+    return float((moved / np.maximum(running, np.finfo(float).tiny)).max())
+
+
+def assert_close_trace(trace: SimulationTrace, ref: SimulationTrace) -> None:
+    """``trace`` against the per-step ``ref``: the same shape (so the same first bad row),
+    diverged flag, times and row 0, bitwise (nan included); every row within ``STEP_RTOL``."""
+    assert trace.states.shape == ref.states.shape
+    assert trace.diverged == ref.diverged
+    assert trace.times.tobytes() == ref.times.tobytes()
+    assert trace.states[:1].tobytes() == ref.states[:1].tobytes()
+    if len(ref.states) > 1:  # so row 0 is finite
+        assert trace_error(trace.states, ref.states) <= STEP_RTOL
+
+
+def assert_close_trace_csv(text: str, ref: SimulationTrace) -> None:
+    """A trace CSV against ``reference_trace_csv(ref)``: the same header, row count, ``t``
+    column, row 0 and ``# diverged`` trailer, text for text; the states of every other row
+    within ``STEP_RTOL`` of ref's."""
+    got, want = text.splitlines(), reference_trace_csv(ref).splitlines()
+    assert len(got) == len(want) and text.endswith("\n")
+    assert got[:2] == want[:2]  # the header and row 0
+    if ref.diverged:
+        assert got.pop() == want.pop() == "# diverged"
+    rows = [line.split(",") for line in got[1:]]
+    assert [row[0] for row in rows] == [line.split(",")[0] for line in want[1:]]
+    if len(rows) > 1:  # so row 0 is finite
+        states = np.array([[float(x) for x in row[1:]] for row in rows])
+        assert trace_error(states, ref.states) <= STEP_RTOL
 
 
 def simulate(L: np.ndarray, x0: np.ndarray, dt: float, horizon: float) -> SimulationTrace:
