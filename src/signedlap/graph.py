@@ -11,6 +11,7 @@ The Laplacian is ``L = D - A`` with ``D`` the diagonal of signed out-degrees
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -62,7 +63,7 @@ class SignedDigraph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise GraphFormatError(f"edge ({i}, {j}) out of range 1..{n}", key)
             w = float(w)
-            if not np.isfinite(w) or abs(w) < CANCEL_TOL:
+            if not math.isfinite(w) or abs(w) < CANCEL_TOL:
                 raise GraphFormatError(f"edge ({i}, {j}) has zero or non-finite weight {w}", key)
             clean[(i, j)] = w
         object.__setattr__(self, "n", n)
@@ -176,7 +177,9 @@ def laplacian(g: SignedDigraph) -> np.ndarray:
     if not np.isfinite(degrees).all():
         node = int(np.isfinite(degrees).argmin()) + 1
         raise GraphFormatError(f"the weighted out-degree of node {node} overflows float64")
-    return np.diag(degrees) - A
+    L = np.subtract(0.0, A, out=A)  # in place; 0 - A, as -A would make each absent entry -0.0
+    L[np.diag_indices_from(L)] = degrees
+    return L
 
 
 def matrix_scale(L: np.ndarray) -> float:

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericsError
 from .graph import SignedDigraph
@@ -73,18 +71,60 @@ def _edges(g: SignedDigraph, positive_only: bool) -> tuple[np.ndarray, np.ndarra
     return rows, cols
 
 
-def _condense(n: int, rows: np.ndarray, cols: np.ndarray) -> Condensation:
+def _strong_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """The count k and the labels of the strong components of the edges rows -> cols.
+
+    An iterative Tarjan search (Tarjan 1972) over the CSR successor lists, with an explicit
+    work stack in place of recursion.  A component gets its label as the search closes it,
+    so an edge between two components leads to the lower label (reverse topological order).
+    """
     order = np.argsort(rows, kind="stable")
-    indptr = np.searchsorted(rows[order], np.arange(n + 1))
-    adjacency = scipy.sparse.csr_array((np.ones(len(rows)), cols[order], indptr), shape=(n, n))
-    k, labels = connected_components(adjacency, directed=True, connection="strong")
-    # scipy labels the components in reverse topological order (an edge between two leads
-    # to the lower label), so in ascending label order each row's successors come first
+    end = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
+    succ, pos = cols[order].tolist(), end[:-1]  # pos[v]: the next successor of v to look at
+    index, low, labels, stack = [-1] * n, [0] * n, [-1] * n, []
+    k = found = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [root]
+        while work:
+            v = work[-1]
+            for j in range(pos[v], end[v + 1]):
+                w = succ[j]
+                if index[w] < 0:  # a tree edge: search w next, then v from its next successor
+                    pos[v] = j + 1
+                    index[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    work.append(w)
+                    break
+                if labels[w] < 0 and index[w] < low[v]:  # w is open, on the stack
+                    low[v] = index[w]
+            else:  # v is done
+                work.pop()
+                if low[v] < index[v]:  # v's component is still open; its parent inherits low
+                    u = work[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    continue
+                while True:  # v roots a component: it and the stack above it
+                    w = stack.pop()
+                    labels[w] = k
+                    if w == v:
+                        break
+                k += 1
+    return k, np.array(labels, dtype=np.intp)
+
+
+def _condense(n: int, rows: np.ndarray, cols: np.ndarray) -> Condensation:
+    k, labels = _strong_components(n, rows, cols)
+    # in ascending label order each row's successors come first
     a, b = labels[rows], labels[cols]
     if np.any(a < b):
-        raise NumericsError(
-            f"scipy {scipy.__version__} numbered the strong components out of topological order"
-        )
+        raise NumericsError("the strong components are numbered out of topological order")
     pairs = np.unique((a * k + b)[a != b])  # one per linked pair of components, ascending a
     closure = np.eye(k, dtype=bool)
     for c, s in zip((pairs // k).tolist(), (pairs % k).tolist()):

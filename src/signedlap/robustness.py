@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericsError, PremiseError
 from .graph import EdgePerturbation, SignedDigraph, laplacian, matrix_scale
@@ -103,6 +102,8 @@ def nyquist_sweep(g1: SignedDigraph, pert: EdgePerturbation) -> tuple[np.ndarray
     the grid scales with the spectral radius of L1, and samples within
     ``SCHUR_PIVOT_RTOL * ||L1||_inf`` of an eigenvalue are skipped with a warning.
     """
+    import scipy.linalg  # imported here, as in solve_lyapunov, so delta_star runs without it
+
     _, (a, b, c), scale, radius = _pair_slice(g1, pert)
     omegas, tol = _sweep_omegas(radius), SCHUR_PIVOT_RTOL * scale
     T, Z = scipy.linalg.schur(a, output="complex")
@@ -181,9 +182,9 @@ def delta_star(g1: SignedDigraph, pert: EdgePerturbation) -> DeltaStarResult:
     (ls, bs, cs), (a, b, c), scale, _ = _pair_slice(g1, pert)
 
     def newton(omega: float) -> tuple[complex, float]:  # G(j w) and the step to Im G(j w) = 0
-        lu = scipy.linalg.lu_factor(ls - 1j * omega * np.eye(len(ls)))
-        x = scipy.linalg.lu_solve(lu, bs)  # dG/dw = j c^T (L1[S, S] - j w I)^-2 b
-        return cs @ x, (cs @ x).imag / (cs @ scipy.linalg.lu_solve(lu, x)).real
+        shifted = ls - 1j * omega * np.eye(len(ls))
+        x = np.linalg.solve(shifted, bs)  # dG/dw = j c^T (L1[S, S] - j w I)^-2 b
+        return cs @ x, (cs @ x).imag / (cs @ np.linalg.solve(shifted, x)).real
 
     crossings = [(0.0, float(c @ np.linalg.solve(a, b)))]
     for omega in _crossing_frequencies(a, b, c, matrix_scale(a)).tolist():
@@ -257,6 +258,8 @@ def solve_lyapunov(lbar: np.ndarray, scale: float) -> np.ndarray:
     as scipy's ``solve_continuous_lyapunov`` does.  Solvable iff no two eigenvalues sum to 0,
     judged at ``scale``, ||L||_inf of the L that ``Lbar = Q L Q^T`` reduces.
     """
+    import scipy.linalg
+
     if not np.isfinite(lbar).all():
         raise NumericsError("Lyapunov equation with a non-finite Lbar")
     T, Z = scipy.linalg.schur(lbar, output="real")

@@ -72,6 +72,8 @@ class Simulation:
             raise ValueError(f"horizon must be finite and at least one step, got {horizon}")
         x0 = np.asarray(x0, dtype=float)
         n = L.shape[0]
+        if n < 1:
+            raise ValueError(f"L must have at least one node, got shape {L.shape}")
         if x0.shape != (n,):
             raise ValueError(f"x0 shape {x0.shape} does not match L ({n} nodes)")
 
@@ -86,10 +88,9 @@ class Simulation:
         hL = dt * L
         self.n, self.dt, self.steps = n, dt, int(round(horizon / dt))
         step = np.eye(n) - hL + hL @ hL / 2.0 - hL @ hL @ hL / 6.0 + hL @ hL @ hL @ hL / 24.0
-        # b, the largest power of two with b n <= _BLOCK (1 past n = 512), rows per product;
-        # it stops at _BLOCK, so an empty L cannot loop
+        # b, the largest power of two with b n <= _BLOCK (1 past n = 512), rows per product
         b = 1
-        while 2 * b * n <= _BLOCK and b < _BLOCK:
+        while 2 * b * n <= _BLOCK:
             b *= 2
         # [S; S^2; ...; S^b], each power S times the one before, as the per-step loop applies S
         self._stride, self._powers = b, np.empty((b * n, n))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import NumericsError, PremiseError
 from .graph import matrix_scale
@@ -126,6 +125,8 @@ def null_basis(L: np.ndarray, decomp: ReachDecomposition) -> NullBasis:
     gammas, mus = X.astype(float), np.zeros(X.shape)
     c_idx = np.flatnonzero(C.any(axis=0))
     if c_idx.size:  # a common node outside R_k has no edge into R_k, so x_k is 0 there
+        import scipy.sparse.linalg  # imported here: loading scipy outlasts most commands
+
         common = scipy.sparse.csr_array((vals, (rows, cols)), shape=L.shape)[c_idx]
         try:  # L_CC is a nonsingular M-matrix, so its diagonal pivots need no row exchange
             lu = scipy.sparse.linalg.splu(common[:, c_idx].tocsc(), diag_pivot_thresh=0.0)

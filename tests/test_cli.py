@@ -149,13 +149,44 @@ def test_oversized_node_count_exit_code(tmp_path, capsys, n):
         assert "MAX_LAPLACIAN_BYTES" in err
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+#: in a fresh process, after ``import signedlap.cli`` and after each call in turn, the exit
+#: code (None after the import) and the scipy modules loaded
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import signedlap.cli
+seen = [[None, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = signedlap.cli.main(argv)
+    seen.append([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")])
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_sparse_lu_and_schur_solvers_load_scipy(tmp_path):
+    data = {name: str(DATA / f"{name}.txt") for name in ("reach12", "spoked8", "triangle")}
+    numpy_only = [
+        ["sensitive", "--graph", data["reach12"]],
+        ["simulate", "--graph", data["triangle"]],
+        ["resistance", "--graph", data["triangle"], "--pair", "1", "2", "--mode", "undirected"],
+        ["delta-star", "--graph", data["spoked8"], "--pair", "3", "8"],
+        ["analyze", "--graph", data["spoked8"]],  # one reach: no common nodes to solve for
+    ]
+    with_scipy = [
+        ["analyze", "--graph", data["reach12"]],  # common nodes: a sparse LU
+        ["resistance", "--graph", data["triangle"], "--pair", "1", "2", "--mode", "directed"],
+        ["delta-star", "--graph", data["spoked8"], "--pair", "3", "8",
+         "--sweep-out", str(tmp_path / "sweep.csv")],
+    ]
     src = str(Path(signedlap.__file__).parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import signedlap.cli; "
-             "print('scipy.optimize' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True)
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, src, json.dumps(numpy_only + with_scipy)],
+        capture_output=True, text=True, check=True)
+    seen = json.loads(result.stdout)
+    assert seen[:len(numpy_only) + 1] == [[None, []]] + [[0, []]] * len(numpy_only)
+    assert [code for code, _ in seen[len(numpy_only) + 1:]] == [0] * len(with_scipy)
+    assert "scipy.linalg" in seen[-1][1]  # the probe sees scipy where it is loaded
 
 
 def test_cli_parser_is_built_once(capsys):
@@ -242,14 +273,14 @@ def test_sensitive_cli(capsys):
 ], ids=["analyze", "analyze-positive-only", "delta-star", "sensitive", "simulate",
         "simulate-horizon", "resistance-undirected", "resistance-directed"])
 def test_sensitive_condenses_the_graph_once(capsys, monkeypatch, argv, runs):
-    # scipy's SCC search runs only in reach._condense, so this counts the condensations
-    search, calls = reach.connected_components, []
+    # the SCC search runs only in reach._condense, so this counts the condensations
+    search, calls = reach._strong_components, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(reach, "connected_components", counted)
+    monkeypatch.setattr(reach, "_strong_components", counted)
     code, _, _ = run(capsys, *(str(DATA / a) if a.endswith(".txt") else a for a in argv))
     assert code == 0
     assert len(calls) == runs

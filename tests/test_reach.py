@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 from signedlap import (
     NumericsError,
@@ -15,7 +17,7 @@ from signedlap import (
     reach_decomposition,
     zero_multiplicity,
 )
-from signedlap.reach import _validate, condensation
+from signedlap.reach import _strong_components, _validate, condensation
 
 from conftest import random_multi_reach_graph, random_premise_graph
 from helpers import eigenvalues, permutation_matrix, reachable_set
@@ -200,15 +202,61 @@ def test_validation_catches_inconsistency(reach12):
 def test_condensation_rejects_labels_out_of_topological_order(reach12, monkeypatch):
     import signedlap.reach as reach_mod
 
-    found = reach_mod.connected_components
+    found = reach_mod._strong_components
 
     def reversed_labels(*args, **kwargs):
         k, labels = found(*args, **kwargs)
         return k, k - 1 - labels
 
-    monkeypatch.setattr(reach_mod, "connected_components", reversed_labels)
-    with pytest.raises(NumericsError, match="scipy .* topological order"):
+    monkeypatch.setattr(reach_mod, "_strong_components", reversed_labels)
+    with pytest.raises(NumericsError, match="topological order"):
         condensation(reach12)
+
+
+def assert_strong_components(n, rows, cols):
+    """``_strong_components`` against scipy's search: the same partition of the nodes, and
+    labels in reverse topological order (no edge leads to a higher label)."""
+    k, labels = _strong_components(n, rows, cols)
+    adjacency = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    k_ref, labels_ref = connected_components(adjacency, directed=True, connection="strong")
+    assert k == k_ref and labels.shape == (n,)
+    assert sorted(set(labels.tolist())) == list(range(k))
+    # one label of ours per label of scipy's, and the other way round
+    assert len(set(zip(labels.tolist(), labels_ref.tolist()))) == k
+    assert not (labels[rows] < labels[cols]).any()
+
+
+@st.composite
+def edge_arrays(draw):
+    """(n, rows, cols) of a random digraph without self-loops or repeated edges, n <= 60:
+    any edge set, the edgeless graph, or one cycle through every node in a random order."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["random", "edgeless", "cycle"]))
+    if kind == "edgeless" or n == 1:
+        return n, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    if kind == "cycle":
+        ring = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+        return n, ring, np.roll(ring, -1)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, unique=True, max_size=4 * n))
+    rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return n, rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays())
+def test_strong_components_match_scipy(graph):
+    assert_strong_components(*graph)
+
+
+def test_strong_components_of_a_long_path_need_no_recursion():
+    # a recursive search would pass Python's recursion limit well before the largest n
+    n = 11585
+    rows = np.arange(n - 1)
+    for edges in ((rows, rows + 1), (rows + 1, rows)):
+        assert_strong_components(n, *edges)
+    k, labels = _strong_components(n, rows, rows + 1)
+    assert k == n and labels.tolist() == list(range(n - 1, -1, -1))
 
 
 def bfs_reachable_sets(g, positive_only):

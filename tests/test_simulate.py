@@ -70,6 +70,11 @@ def test_guards():
         simulate(L, np.zeros(2), dt=1e-310, horizon=50.0)
 
 
+def test_empty_system_is_refused_up_front():
+    with pytest.raises(ValueError, match=r"at least one node, got shape \(0, 0\)"):
+        Simulation(np.zeros((0, 0)), np.zeros(0), 0.1, 1.0)
+
+
 def test_divergence_truncates():
     g = SignedDigraph(2, {(1, 2): -5.0})
     L = laplacian(g)

@@ -33,8 +33,10 @@ that call, and names every other leaf that differs (a label, a
 boolean, a count, a list length), per call and, at the end, per leaf over
 all calls.  For each CSV file that differs it prints the row counts of both
 sides, how many numbers moved in their common rows and, per column, the
-largest move relative to the largest finite magnitude of that column on
-either side; and, at the end, the same over all such files.  The output
+largest move relative to a scale taken on either side: in a trace the
+largest finite |state| of the moved state's row, in any other column (``t``
+and the sweep columns) the largest finite magnitude of that column; and, at
+the end, the same over all such files.  The output
 files stay on disk until both sides are done, so no side holds them all in
 memory.
 """
@@ -47,7 +49,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import resource
@@ -183,26 +184,36 @@ def _json_diff(a: str, b: str) -> tuple[dict[str, float], set[str]] | None:
 
 def _csv_diff(a: Path, b: Path) -> tuple[int, int, int, dict[str, float]] | None:
     """Two CSV files of numbers compared value by value: the row counts of both, how many
-    numbers differ in their common rows, and per column the largest difference relative to
-    the largest finite magnitude of that column on either side (so the ``inf`` of the last
-    sweep row does not hide the moves of the others); None when the headers differ."""
+    numbers differ in their common rows, and per column the largest difference relative to a
+    scale on either side; None when the headers differ.
+
+    In a trace (header ``t,...``) the scale of a state is the largest finite |state| of its
+    row, so a state that is roundoff next to the others of its row reads as roundoff.  Any
+    other column, ``t`` and the sweep columns, is scaled by its largest finite magnitude (so
+    the ``inf`` of the last sweep row does not hide the moves of the others)."""
     headers = []
     for path in (a, b):
         with path.open(encoding="utf-8") as fh:
             headers.append(fh.readline())
-    header = headers[0]
-    if headers[1] != header:
+    names = headers[0].strip().split(",")
+    if headers[1] != headers[0]:
         return None
     x, y = (np.loadtxt(p, delimiter=",", skiprows=1, comments="#", ndmin=2) for p in (a, b))
     rows = min(len(x), len(y))
     xs, ys = x[:rows], y[:rows]
     moved = (xs != ys) & ~(np.isnan(xs) & np.isnan(ys))
+    states = np.abs(np.concatenate([xs[:, 1:], ys[:, 1:]], axis=1))
+    row_scale = np.where(np.isfinite(states), states, 0.0).max(axis=1, initial=0.0)
     largest = {}
-    for k, name in enumerate(header.strip().split(",")):
-        column = np.abs(np.concatenate([x[:, k], y[:, k]]))
-        scale = column[np.isfinite(column)].max(initial=0.0)
-        diff = np.abs(xs[moved[:, k], k] - ys[moved[:, k], k]).max(initial=0.0)
-        largest[name] = diff / scale if scale else math.inf if diff else 0.0
+    for k, name in enumerate(names):
+        diff = np.abs(xs[moved[:, k], k] - ys[moved[:, k], k])
+        if names[0] == "t" and k > 0:
+            scale = row_scale[moved[:, k]]
+        else:
+            column = np.abs(np.concatenate([x[:, k], y[:, k]]))
+            scale = column[np.isfinite(column)].max(initial=0.0)
+        with np.errstate(divide="ignore"):  # a move of a value whose scale is 0 reads inf
+            largest[name] = float((diff / scale).max(initial=0.0))
     return len(x), len(y), int(moved.sum()), largest
 
 
